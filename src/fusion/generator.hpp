@@ -100,8 +100,11 @@ struct GenerateStats {
   std::uint32_t descent_steps = 0;
   /// Total lower-cover candidate partitions examined.
   std::uint64_t candidates_examined = 0;
-  /// Merge closures actually computed (cache misses); the incremental
-  /// engine's saving shows up as candidates_examined >> closures_evaluated.
+  /// Block pairs examined by the lower covers actually computed (cache
+  /// misses): B*(B-1)/2 per cover of a B-block partition, including pairs
+  /// whose closure the fused evaluator stopped early (counted by the
+  /// `gen.closure_pruned` obs counter). The incremental engine's saving
+  /// shows up as candidates_examined >> closures_evaluated.
   std::uint64_t closures_evaluated = 0;
   /// Lower-cover calls served entirely from the memo.
   std::uint64_t cover_cache_hits = 0;

@@ -113,14 +113,19 @@ MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
   FFSM_EXPECTS(base.size() == machine.size());
   n_ = machine.size();
   k_ = static_cast<std::uint32_t>(machine.events().size());
-  seed_parent_.resize(n_);
-  seed_size_.assign(n_, 1);
-  for (std::uint32_t i = 0; i < n_; ++i) seed_parent_[i] = i;
+  base_blocks_ = base.block_count();
+  parent_.resize(n_);
+  size_.assign(n_, 1);
+  min_block_.resize(n_);
+  for (std::uint32_t i = 0; i < n_; ++i) {
+    parent_[i] = i;
+    min_block_[i] = base.block_of(i);
+  }
 
   // Seed with the base partition: link every element to its block's first
-  // element, then run the congruence closure once. The snapshot taken here
-  // is what evaluate() restores per pair.
-  std::vector<State> first(base.block_count(), kInvalidState);
+  // element, then run the congruence closure once (bound 0 never stops
+  // it). The snapshot taken here is what evaluate() restores per pair.
+  std::vector<State> first(base_blocks_, kInvalidState);
   queue_.clear();
   for (State s = 0; s < n_; ++s) {
     State& f = first[base.block_of(s)];
@@ -129,25 +134,25 @@ MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
     else
       queue_.emplace_back(f, s);
   }
-  run(seed_parent_, seed_size_);
+  run(0);
+  seed_parent_ = parent_;
+  seed_size_ = size_;
+  seed_min_block_ = min_block_;
 
-  parent_.resize(n_);
-  size_.resize(n_);
   norm_.resize(n_);
   canon_.resize(n_);
 }
 
-void MergeClosureEngine::run(std::vector<std::uint32_t>& parent,
-                             std::vector<std::uint32_t>& size) {
+bool MergeClosureEngine::run(std::size_t bound) {
   // Congruence closure over the pending queue. Invariant: the seeded base
   // is already closed, so within every class all members' successors are
   // co-classed; pushing the *root representatives'* successors (instead of
   // the original pair's, as merge_closure does) therefore reaches the same
   // fixpoint — one pair per union instead of one per queue entry.
-  auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  auto find = [this](std::uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
     }
     return x;
   };
@@ -156,24 +161,37 @@ void MergeClosureEngine::run(std::vector<std::uint32_t>& parent,
     std::uint32_t x = find(a);
     std::uint32_t y = find(b);
     if (x == y) continue;
-    if (size[x] < size[y]) std::swap(x, y);
-    parent[y] = x;
-    size[x] += size[y];
+    // Of all base-block pairs this union joins, the one with the lowest
+    // index pairs the two classes' smallest blocks.
+    const auto [lo, hi] = std::minmax(min_block_[x], min_block_[y]);
+    if (bound > 0 && block_pair_index(lo, hi, base_blocks_) < bound)
+      return false;
+    if (size_[x] < size_[y]) std::swap(x, y);
+    parent_[y] = x;
+    size_[x] += size_[y];
+    min_block_[x] = lo;
     for (std::uint32_t e = 0; e < k_; ++e)
       queue_.emplace_back(machine_.step_local(x, e),
                           machine_.step_local(y, e));
   }
+  return true;
 }
 
 std::size_t MergeClosureEngine::evaluate(State a, State b) {
+  return *evaluate_bounded(a, b, 0);  // no pair index is below 0
+}
+
+std::optional<std::size_t> MergeClosureEngine::evaluate_bounded(
+    State a, State b, std::size_t pair_index) {
   FFSM_EXPECTS(a < n_ && b < n_);
-  std::memcpy(parent_.data(), seed_parent_.data(),
-              static_cast<std::size_t>(n_) * sizeof(std::uint32_t));
-  std::memcpy(size_.data(), seed_size_.data(),
-              static_cast<std::size_t>(n_) * sizeof(std::uint32_t));
+  const std::size_t bytes =
+      static_cast<std::size_t>(n_) * sizeof(std::uint32_t);
+  std::memcpy(parent_.data(), seed_parent_.data(), bytes);
+  std::memcpy(size_.data(), seed_size_.data(), bytes);
+  std::memcpy(min_block_.data(), seed_min_block_.data(), bytes);
   queue_.clear();
   queue_.emplace_back(a, b);
-  run(parent_, size_);
+  if (!run(pair_index)) return std::nullopt;
 
   // First-occurrence renumbering fused with the same per-element FNV-1a
   // round Partition::hash() applies, so the returned hash equals

@@ -8,6 +8,8 @@
 // partition" used by the paper's lower-cover construction (Definition 2).
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -29,12 +31,21 @@ namespace ffsm {
     const Dfsm& machine, const Partition& p,
     std::span<const std::pair<State, State>> merges);
 
+/// Index of the base-block pair (i, j), i < j, among all pairs of
+/// `blocks` blocks enumerated lexicographically: (0,1), (0,2), ...,
+/// (0,blocks-1), (1,2), ... — the order lower_cover evaluates them in.
+[[nodiscard]] constexpr std::size_t block_pair_index(
+    std::uint32_t i, std::uint32_t j, std::uint32_t blocks) noexcept {
+  return static_cast<std::size_t>(i) * blocks -
+         static_cast<std::size_t>(i) * (i + 1) / 2 + (j - i - 1);
+}
+
 /// Batch evaluator for many single-pair merge closures over one fixed base
 /// partition — the lower-cover hot loop (every candidate cover is
 /// closure(base, {a,b}) for one pair of block representatives).
 ///
 /// Compared to calling merge_closure per pair, the engine (a) seeds the
-/// base partition's union-find once and restores it per pair with two
+/// base partition's union-find once and restores it per pair with
 /// memcpys instead of re-running the seeding closure, and (b) fuses
 /// canonical renumbering with the FNV-1a hash (identical to
 /// Partition::hash()) in one pass, so callers can dedup candidates without
@@ -54,6 +65,19 @@ class MergeClosureEngine {
   /// assignment itself is readable via assignment() until the next call.
   std::size_t evaluate(State a, State b);
 
+  /// evaluate(a, b) for the base-block pair with index `pair_index`
+  /// (block_pair_index of the blocks of a and b), stopped as soon as the
+  /// closure unites two base blocks whose own pair index is below
+  /// `pair_index`. Returns nullopt when stopped (assignment() is then
+  /// stale); otherwise the same hash and assignment as evaluate(a, b).
+  ///
+  /// A stopped closure is never needed by a lower cover that scans pairs
+  /// in index order: it unites an earlier pair's blocks, so it is coarser
+  /// than or equal to that pair's closure (the finest closed partition
+  /// uniting them) — a duplicate of an earlier candidate, or not maximal.
+  std::optional<std::size_t> evaluate_bounded(State a, State b,
+                                              std::size_t pair_index);
+
   /// Canonical (first-occurrence-normalized) block assignment of the last
   /// evaluate() call. Constructing Partition{assignment()} is exact.
   [[nodiscard]] std::span<const std::uint32_t> assignment() const noexcept {
@@ -64,19 +88,25 @@ class MergeClosureEngine {
   [[nodiscard]] std::uint32_t block_count() const noexcept { return blocks_; }
 
  private:
-  void run(std::vector<std::uint32_t>& parent,
-           std::vector<std::uint32_t>& size);
+  /// Congruence closure over queue_ on the scratch union-find. Stops and
+  /// returns false on a union of two classes whose smallest base blocks
+  /// form a pair with index below `bound` (never, for bound 0).
+  bool run(std::size_t bound);
 
   const Dfsm& machine_;
   std::uint32_t n_ = 0;
   std::uint32_t k_ = 0;
+  std::uint32_t base_blocks_ = 0;
   std::uint32_t blocks_ = 0;
   // Union-find snapshot after seeding with the base partition; evaluate()
   // memcpy-restores it into the scratch arrays per pair.
   std::vector<std::uint32_t> seed_parent_;
   std::vector<std::uint32_t> seed_size_;
+  // Smallest base block in each class, valid at roots.
+  std::vector<std::uint32_t> seed_min_block_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> size_;
+  std::vector<std::uint32_t> min_block_;
   std::vector<std::uint32_t> norm_;
   std::vector<std::uint32_t> canon_;
   std::vector<std::pair<State, State>> queue_;

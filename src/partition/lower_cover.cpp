@@ -1,6 +1,7 @@
 #include "partition/lower_cover.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -451,9 +452,19 @@ std::vector<Partition> postpass_sharded(std::vector<Partition>&& candidates,
 /// dedup on the fused canonical hash (exact compare on collision) so
 /// duplicate closures never materialize a Partition. Chunks have a FIXED
 /// size, independent of thread count, and are merged in ascending index
-/// order through a global first-occurrence filter — so the distinct list
-/// (and therefore the cover) is bit-identical to the classic
-/// evaluate-then-dedup pipeline at any thread count.
+/// order through a global first-occurrence filter.
+///
+/// Pair i's closure is stopped as soon as it unites the blocks of an
+/// earlier pair j < i (MergeClosureEngine::evaluate_bounded): it is then
+/// <= closure j, so it is a duplicate or not maximal. By induction on i,
+/// every stopped closure is <= some closure that ran to completion (pair 0
+/// always does), and the first pair producing each maximal element always
+/// completes. So the candidates kept here have exactly the full
+/// candidate list's maximal elements, each at its first occurrence: the
+/// cover is bit-identical to the classic evaluator's at any thread count.
+/// The bound is the pair's own index, never another chunk's result, so
+/// chunks stay independent. Returns the distinct completed closures in
+/// index order and counts the stopped ones in `gen.closure_pruned`.
 std::vector<Partition> fused_candidates(
     const Dfsm& machine, const Partition& p,
     const std::vector<std::pair<State, State>>& pairs,
@@ -464,10 +475,17 @@ std::vector<Partition> fused_candidates(
   };
 
   const auto evaluate_range = [&](std::size_t lo, std::size_t hi,
-                                  std::vector<Distinct>& out) {
+                                  std::vector<Distinct>& out,
+                                  std::uint64_t& stopped) {
     MergeClosureEngine engine(machine, p);
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t h = engine.evaluate(pairs[i].first, pairs[i].second);
+      const std::optional<std::size_t> hash =
+          engine.evaluate_bounded(pairs[i].first, pairs[i].second, i);
+      if (!hash) {
+        ++stopped;
+        continue;
+      }
+      const std::size_t h = *hash;
       const std::span<const std::uint32_t> canon = engine.assignment();
       bool duplicate = false;
       for (const Distinct& d : out)
@@ -488,8 +506,9 @@ std::vector<Partition> fused_candidates(
   const std::size_t chunk_count =
       options.parallel ? (pairs.size() + kChunkPairs - 1) / kChunkPairs : 1;
   std::vector<std::vector<Distinct>> chunk_distinct(chunk_count);
+  std::vector<std::uint64_t> chunk_pruned(chunk_count, 0);
   if (chunk_count == 1) {
-    evaluate_range(0, pairs.size(), chunk_distinct[0]);
+    evaluate_range(0, pairs.size(), chunk_distinct[0], chunk_pruned[0]);
   } else {
     ParallelOptions popt;
     popt.pool = options.pool;
@@ -499,9 +518,14 @@ std::vector<Partition> fused_candidates(
         [&](std::size_t c) {
           const std::size_t lo = c * kChunkPairs;
           const std::size_t hi = std::min(pairs.size(), lo + kChunkPairs);
-          evaluate_range(lo, hi, chunk_distinct[c]);
+          evaluate_range(lo, hi, chunk_distinct[c], chunk_pruned[c]);
         },
         popt);
+  }
+  if (options.obs != nullptr) {
+    std::uint64_t pruned = 0;
+    for (const std::uint64_t c : chunk_pruned) pruned += c;
+    options.obs->count("gen.closure_pruned", pruned);
   }
 
   // Merge chunks in index order with a global first-occurrence filter. A
@@ -544,7 +568,8 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
   for (State s = 0; s < p.size(); ++s)
     if (rep[p.block_of(s)] == kInvalidState) rep[p.block_of(s)] = s;
 
-  // All unordered block pairs.
+  // All unordered block pairs, in block_pair_index order: pairs[k] is
+  // pair k, which fused_candidates' pruning bound relies on.
   std::vector<std::pair<State, State>> pairs;
   pairs.reserve(static_cast<std::size_t>(blocks) * (blocks - 1) / 2);
   for (std::uint32_t i = 0; i < blocks; ++i)
@@ -558,7 +583,7 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
     // Already deduplicated in first-occurrence order; apply the same
     // maximality filter as the post-passes, then check closedness on the
     // few survivors (the classic path checks every closure inside
-    // merge_closure — pushing the check past dedup is most of the win).
+    // merge_closure).
     const std::uint64_t eval_start = timed ? obs->now_us() : 0;
     std::vector<Partition> unique = fused_candidates(machine, p, pairs,
                                                      options);

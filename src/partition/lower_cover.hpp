@@ -294,12 +294,14 @@ struct LowerCoverOptions {
   bool sharded_dedup = true;
   /// Evaluate pair closures through MergeClosureEngine: the base
   /// partition's union-find is seeded once and memcpy-restored per pair,
-  /// and duplicates are dropped inline on the fused canonical hash before
-  /// any Partition materializes. Covers are bit-identical to the classic
-  /// path at any thread count (fixed-size pair chunks merged in index
-  /// order); default-off so the classic evaluator stays the ablation
-  /// baseline. When set, sharded_dedup is irrelevant (dedup already
-  /// happened inline).
+  /// a pair's closure stops as soon as it unites an earlier pair's blocks
+  /// (it can then add no new maximal element), and duplicates are dropped
+  /// inline on the fused canonical hash before any Partition
+  /// materializes. Covers are bit-identical to the classic path at any
+  /// thread count (fixed-size pair chunks merged in index order);
+  /// default-off so the classic evaluator stays the ablation baseline.
+  /// When set, sharded_dedup is irrelevant (dedup already happened
+  /// inline).
   bool fused = false;
   /// Optional memo shared across calls (and threads). Must only ever see
   /// partitions of one machine.
@@ -307,8 +309,9 @@ struct LowerCoverOptions {
   /// Optional observability context (nullptr = uninstrumented). Feeds the
   /// `gen.lower_cover` span (one full cover computation), the
   /// `gen.closure_eval` histogram (the candidate-evaluation phase inside
-  /// it) and `cache.get` / `cache.insert` (memo lookup / publish latency).
-  /// Never affects results.
+  /// it), the `gen.closure_pruned` counter (fused pair closures stopped
+  /// early) and `cache.get` / `cache.insert` (memo lookup / publish
+  /// latency). Never affects results.
   obs::Obs* obs = nullptr;
 };
 

@@ -7,6 +7,7 @@
 #include "fsm/machine_catalog.hpp"
 #include "fusion/fusion.hpp"
 #include "fusion/minimality.hpp"
+#include "obs/obs.hpp"
 #include "test_support.hpp"
 
 namespace ffsm {
@@ -102,6 +103,37 @@ TEST(Generator, StatsCountDescentWork) {
   // were examined.
   EXPECT_EQ(result.stats.descent_steps, 2u);
   EXPECT_GE(result.stats.candidates_examined, 4u);
+}
+
+TEST(Generator, PrunedClosuresAreCountedOnlyWhenCoversAreComputed) {
+  // gen.closure_pruned counts the fused evaluator's pair closures stopped
+  // early. lookahead 0 computes every cover inline (no speculation), so
+  // the cold run publishes all of them and the warm rerun computes none.
+  const CrossProduct cp = testing::counter_pair_product();
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  ThreadPool pool(2);
+  LowerCoverCache cache;
+  GenerateOptions options;
+  options.f = 2;
+  options.pool = &pool;
+  options.cache = &cache;
+  options.speculation.lookahead = 0;
+
+  obs::Obs cold_obs;
+  options.obs = &cold_obs;
+  const FusionResult cold = generate_fusion(cp.top, originals, options);
+  const std::uint64_t cold_pruned =
+      cold_obs.snapshot().counters["gen.closure_pruned"];
+  EXPECT_GT(cold_pruned, 0u);
+  // closures_evaluated counts every pair examined, stopped ones included.
+  EXPECT_GT(cold.stats.closures_evaluated, cold_pruned);
+
+  obs::Obs warm_obs;
+  options.obs = &warm_obs;
+  const FusionResult warm = generate_fusion(cp.top, originals, options);
+  EXPECT_EQ(warm.partitions, cold.partitions);
+  EXPECT_EQ(warm.stats.closures_evaluated, 0u);
+  EXPECT_EQ(warm_obs.snapshot().counters["gen.closure_pruned"], 0u);
 }
 
 TEST(Generator, SingleStateTopNeedsNothing) {

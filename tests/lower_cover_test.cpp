@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "fsm/random_dfsm.hpp"
+#include "obs/obs.hpp"
 #include "partition/closure.hpp"
 #include "partition/lattice.hpp"
 #include "test_support.hpp"
@@ -17,6 +19,16 @@ using testing::pt;
 
 bool contains(const std::vector<Partition>& v, const Partition& p) {
   return std::find(v.begin(), v.end(), p) != v.end();
+}
+
+/// The fused evaluator (pruned pair closures, inline dedup), serial or on
+/// `pool`.
+LowerCoverOptions fused_options(ThreadPool* pool) {
+  LowerCoverOptions options;
+  options.fused = true;
+  options.parallel = pool != nullptr;
+  options.pool = pool;
+  return options;
 }
 
 TEST(LowerCover, OfTopIsTheBasis) {
@@ -114,6 +126,7 @@ TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
   spec.seed = GetParam();
   const Dfsm m = make_random_connected_dfsm(al, "m", spec);
   const ClosedPartitionLattice lattice = enumerate_lattice(m);
+  ThreadPool pool(4);
 
   for (const LatticeNode& node : lattice.nodes) {
     // Reference: maximal strictly-below elements from the full lattice.
@@ -137,6 +150,14 @@ TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
         << "node " << node.partition.to_string();
     for (const auto& q : maximal)
       EXPECT_TRUE(contains(cover, q)) << q.to_string();
+
+    // The fused evaluator: the classic cover, element for element, which
+    // is the lattice definition's set.
+    for (ThreadPool* fused_pool : {static_cast<ThreadPool*>(nullptr), &pool})
+      EXPECT_EQ(lower_cover(m, node.partition, fused_options(fused_pool)),
+                cover)
+          << "node " << node.partition.to_string()
+          << (fused_pool != nullptr ? " (fused, pool)" : " (fused, serial)");
   }
 }
 
@@ -171,17 +192,24 @@ TEST(DedupEquivalence, ShardedMatchesSerialOnCatalogProduct) {
   serial_sharded.parallel = false;
   serial_sharded.sharded_dedup = true;
   EXPECT_EQ(lower_cover(cp.top, identity, serial_sharded), baseline);
+
+  // So is the fused evaluator, serially and on a pool.
+  EXPECT_EQ(lower_cover(cp.top, identity, fused_options(nullptr)), baseline);
+  ThreadPool pool(4);
+  EXPECT_EQ(lower_cover(cp.top, identity, fused_options(&pool)), baseline);
 }
 
-class DedupEquivalenceRandom : public ::testing::TestWithParam<std::uint64_t> {
-};
+/// (states, seed) of a random 3-event machine.
+using RandomTop = std::tuple<std::uint32_t, std::uint64_t>;
+
+class DedupEquivalenceRandom : public ::testing::TestWithParam<RandomTop> {};
 
 TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
   auto al = Alphabet::create();
   RandomDfsmSpec spec;
-  spec.states = 10;
+  spec.states = std::get<0>(GetParam());
   spec.num_events = 3;
-  spec.seed = GetParam();
+  spec.seed = std::get<1>(GetParam());
   const Dfsm m = make_random_connected_dfsm(al, "m", spec);
 
   ThreadPool pool(4);
@@ -190,26 +218,68 @@ TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
   LowerCoverOptions sharded;
   sharded.pool = &pool;
   sharded.sharded_dedup = true;
+  const LowerCoverOptions fused_serial = fused_options(nullptr);
+  const LowerCoverOptions fused_pool = fused_options(&pool);
 
-  // Walk a descent: compare the two post-passes at every node, following
-  // the first cover element (order-sensitive, so this also locks the
-  // ordering contract), plus every sibling's own cover once.
+  // The fused evaluator stops the same pairs in one chunk (serial) as in
+  // many (pool): each pair's bound is its own index.
+  {
+    obs::Obs serial_obs;
+    obs::Obs pool_obs;
+    LowerCoverOptions counted_serial = fused_serial;
+    counted_serial.obs = &serial_obs;
+    LowerCoverOptions counted_pool = fused_pool;
+    counted_pool.obs = &pool_obs;
+    const Partition identity = Partition::identity(m.size());
+    (void)lower_cover(m, identity, counted_serial);
+    (void)lower_cover(m, identity, counted_pool);
+    EXPECT_EQ(serial_obs.snapshot().counters["gen.closure_pruned"],
+              pool_obs.snapshot().counters["gen.closure_pruned"]);
+  }
+
+  // Walk a descent: compare the two post-passes and the fused evaluator
+  // at every node, following the first cover element (order-sensitive, so
+  // this also locks the ordering contract), plus every sibling's own
+  // cover once.
   Partition current = Partition::identity(m.size());
   while (true) {
     const auto baseline = lower_cover(m, current, legacy);
     EXPECT_EQ(lower_cover(m, current, sharded), baseline)
         << current.to_string();
+    EXPECT_EQ(lower_cover(m, current, fused_serial), baseline)
+        << current.to_string();
+    EXPECT_EQ(lower_cover(m, current, fused_pool), baseline)
+        << current.to_string();
     if (baseline.empty()) break;
-    for (const Partition& sibling : baseline)
-      EXPECT_EQ(lower_cover(m, sibling, sharded),
-                lower_cover(m, sibling, legacy))
+    for (const Partition& sibling : baseline) {
+      const auto sibling_baseline = lower_cover(m, sibling, legacy);
+      EXPECT_EQ(lower_cover(m, sibling, sharded), sibling_baseline)
           << sibling.to_string();
+      EXPECT_EQ(lower_cover(m, sibling, fused_serial), sibling_baseline)
+          << sibling.to_string();
+      EXPECT_EQ(lower_cover(m, sibling, fused_pool), sibling_baseline)
+          << sibling.to_string();
+    }
     current = baseline.front();
   }
 }
 
+/// Seeds 1-8 of a 10-state machine.
+std::vector<RandomTop> small_tops() {
+  std::vector<RandomTop> tops;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) tops.emplace_back(10, seed);
+  return tops;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DedupEquivalenceRandom,
-                         ::testing::Range<std::uint64_t>(1, 9));
+                         ::testing::ValuesIn(small_tops()));
+
+// Tops of more than 64 blocks: the identity's 4,560 and 11,175 block pairs
+// span 3 and 6 of the fused evaluator's 2,048-pair chunks.
+const RandomTop kWideTops[] = {{96, 1}, {96, 2}, {150, 1}};
+
+INSTANTIATE_TEST_SUITE_P(WideTops, DedupEquivalenceRandom,
+                         ::testing::ValuesIn(kWideTops));
 
 TEST(LowerCoverCache, MemoizesWithoutChangingResults) {
   const ffsm::testing::CanonicalExample ex;

@@ -63,7 +63,7 @@ void report() {
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf(
-      "== Catalog machines, f=2: serial vs speculative thread sweep ==\n");
+      "== Catalog machines, f=2: serial vs parallel thread sweep ==\n");
   std::printf("hardware_concurrency=%u\n",
               std::thread::hardware_concurrency());
   // Two 16-state catalog counters, 256-state top: big enough that the
@@ -80,12 +80,10 @@ void report() {
       [&] { serial_result = generate_fusion(cp.top, originals, serial); },
       3, 1);
 
-  TextTable sweep({"threads", "ms", "speedup", "closures", "spec launched",
-                   "spec hits", "spec wasted"});
+  TextTable sweep({"threads", "ms", "speedup", "closures"});
   sweep.add_row({"serial", fmt2(serial_ms), "1.00x",
-                 std::to_string(serial_result.stats.closures_evaluated), "-",
-                 "-", "-"});
-  // Clamp the sweep to the machine: sweeping 8 speculation threads on a
+                 std::to_string(serial_result.stats.closures_evaluated)});
+  // Clamp the sweep to the machine: sweeping 8 threads on a
   // 1- or 2-core runner measures scheduler contention, not the descent —
   // and its timings pollute the perf history with noise.
   const std::uint32_t max_threads =
@@ -112,16 +110,12 @@ void report() {
     json.add_metric("catalog_f2",
                     "speedup_" + std::to_string(threads) + "threads",
                     speedup);
-    const GenerateStats& s = parallel_result.stats;
     sweep.add_row({std::to_string(threads), fmt2(parallel_ms),
                    fmt2(speedup, "x"),
-                   std::to_string(s.closures_evaluated),
-                   std::to_string(s.speculative_covers_launched),
-                   std::to_string(s.speculation_hits),
-                   std::to_string(s.speculation_wasted_closures)});
+                   std::to_string(parallel_result.stats.closures_evaluated)});
     bench::require(
         identical,
-        ("catalog f=2 speculative partitions bit-identical to serial at " +
+        ("catalog f=2 parallel partitions bit-identical to serial at " +
          std::to_string(threads) + " threads")
             .c_str());
   }

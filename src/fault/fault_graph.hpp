@@ -85,13 +85,6 @@ class FaultGraph {
   [[nodiscard]] const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
   weakest_edges() const;
 
-  /// Materializes the weakest-edge memo now, so that later
-  /// weakest_edges() calls are pure reads. Lets a background task finish
-  /// all mutable writes (delta update + rescan) before handing the graph
-  /// back to a thread that will only read — the pipelined-maintenance
-  /// handoff in the speculative generator.
-  void prepare_weakest_edges() const { (void)weakest_edges(); }
-
   /// Cumulative number of edge-weight slots examined by build / add /
   /// remove / lazy weakest-edge scans since construction — the work metric
   /// for the incremental-vs-rebuild ablation (bench_ablation_incremental).

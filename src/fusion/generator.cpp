@@ -1,9 +1,6 @@
 #include "fusion/generator.hpp"
 
-#include <algorithm>
 #include <exception>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "partition/quotient.hpp"
@@ -46,292 +43,11 @@ std::size_t pick(const std::vector<const Partition*>& viable,
   return 0;
 }
 
-/// Full policy ranking of the viable candidates (stable, so ranked[0] ==
-/// pick(viable, policy) — the stable sort keeps the earliest of equally
-/// good candidates first, exactly pick()'s strict-improvement rule). The
-/// speculative engine prefetches the top of this order.
-std::vector<std::size_t> rank_viable(
-    const std::vector<const Partition*>& viable, DescentPolicy policy) {
-  std::vector<std::size_t> order(viable.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  switch (policy) {
-    case DescentPolicy::kFirstFound:
-      break;
-    case DescentPolicy::kFewestBlocks:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return viable[a]->block_count() <
-                                viable[b]->block_count();
-                       });
-      break;
-    case DescentPolicy::kMostBlocks:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return viable[a]->block_count() >
-                                viable[b]->block_count();
-                       });
-      break;
-  }
-  return order;
-}
-
-/// In-flight speculative lower-cover prefetches, keyed by the partition
-/// descended from. Single-consumer: launch/consume/abandon_all run on the
-/// descent thread only; each prefetch task writes its own slot (read by
-/// the descent strictly after join) and the thread-safe cache.
-///
-/// Accounting preserves the serial engine's invariants: a consumed
-/// prefetch counts exactly what the inline lookup it replaced would have
-/// counted (a cover_cache_hit, or closures_evaluated for a computed
-/// cover) plus one speculation_hit; abandoned prefetches count only
-/// speculation_wasted_closures. A warm-cache run therefore still reports
-/// closures_evaluated == 0.
-class SpeculationEngine {
- public:
-  using Cover = LowerCoverCache::Cover;
-
-  SpeculationEngine(const Dfsm& top, const LowerCoverOptions& cover_options,
-                    ThreadPool& pool, GenerateStats& stats)
-      : top_(top), cover_options_(cover_options), pool_(pool), stats_(stats) {}
-
-  ~SpeculationEngine() { abandon_all(); }
-
-  SpeculationEngine(const SpeculationEngine&) = delete;
-  SpeculationEngine& operator=(const SpeculationEngine&) = delete;
-
-  /// Starts a prefetch of p's lower cover unless one is already in flight
-  /// (or p is the bottom partition, whose cover is empty).
-  void launch(const Partition& p) {
-    if (p.block_count() <= 1) return;
-    if (inflight_.contains(p)) return;
-    auto slot = std::make_unique<Prefetch>();
-    Prefetch* const raw = slot.get();
-    const auto [it, inserted] = inflight_.emplace(p, std::move(slot));
-    FFSM_ASSERT(inserted);
-    // The task reads the map node's key; nodes are address-stable and the
-    // entry is only erased after the task finished (consume/abandon join
-    // first).
-    const Partition* const key = &it->first;
-    raw->task = pool_.submit(
-        [this, raw, key] {
-          raw->closures =
-              prefetch_lower_cover(top_, *key, cover_options_, raw->token,
-                                   &raw->cover, &raw->from_cache);
-        },
-        raw->token);
-    ++stats_.speculative_covers_launched;
-  }
-
-  /// The lower cover of p: joins p's in-flight prefetch when there is one
-  /// (claiming it inline if no worker got to it — progress never depends
-  /// on pool capacity), otherwise looks it up / computes it inline.
-  std::shared_ptr<const Cover> consume(const Partition& p) {
-    const auto it = inflight_.find(p);
-    if (it != inflight_.end()) {
-      Prefetch& slot = *it->second;
-      // Time the join itself: how long the descent stalls on a prefetch it
-      // decided to consume (0 when the worker already finished — the ideal).
-      obs::Obs* const obs = cover_options_.obs;
-      const bool timed = obs != nullptr && obs->enabled();
-      const std::uint64_t join_start = timed ? obs->now_us() : 0;
-      const bool finished = slot.task.join();
-      if (timed)
-        obs->record("gen.speculation_join", obs->now_us() - join_start);
-      if (finished && slot.cover != nullptr) {
-        ++stats_.speculation_hits;
-        if (slot.from_cache)
-          ++stats_.cover_cache_hits;
-        else
-          stats_.closures_evaluated += slot.closures;
-        auto cover = std::move(slot.cover);
-        inflight_.erase(it);
-        return cover;
-      }
-      inflight_.erase(it);
-    }
-    bool from_cache = false;
-    const std::uint32_t blocks = p.block_count();
-    auto cover = lower_cover_cached(top_, p, cover_options_, &from_cache);
-    if (from_cache)
-      ++stats_.cover_cache_hits;
-    else
-      stats_.closures_evaluated +=
-          static_cast<std::uint64_t>(blocks) * (blocks - 1) / 2;
-    return cover;
-  }
-
-  /// Cancels and retires every unconsumed prefetch. Tasks not yet started
-  /// are retired unrun; tasks that already completed have their computed
-  /// closures booked as speculation waste (their covers stay cached).
-  void abandon_all() {
-    for (auto& [key, slot] : inflight_) {
-      slot->task.cancel();
-      if (slot->task.join())
-        stats_.speculation_wasted_closures += slot->closures;
-    }
-    inflight_.clear();
-  }
-
- private:
-  struct Prefetch {
-    TaskHandle task;
-    CancellationToken token;
-    // Written by the task body, read by the descent after join only.
-    std::shared_ptr<const Cover> cover;
-    std::uint64_t closures = 0;
-    bool from_cache = false;
-  };
-
-  const Dfsm& top_;
-  const LowerCoverOptions& cover_options_;
-  ThreadPool& pool_;
-  GenerateStats& stats_;
-  std::unordered_map<Partition, std::unique_ptr<Prefetch>, PartitionHash>
-      inflight_;
-};
-
-/// The speculative, pipelined engine behind generate_fusion when parallel
-/// && incremental. Three overlap axes on top of the serial skeleton, none
-/// of which can change results:
-///  1. per-step prefetch of the top-ranked viable candidates' next-level
-///     covers (SpeculationEngine);
-///  2. FaultGraph::add_machine + the weakest-edge rescan run as a pool
-///     task, overlapped with warming the next iteration's descent entry;
-///  3. a predicted first descent step for the next iteration, filtered
-///     against the *previous* weakest-edge set — a subset of the next one
-///     (every new-machine-separated edge moves up one weight class
-///     together), so the prediction is a sound over-approximation of
-///     viability: often right, and merely a cached extra cover when wrong.
-FusionResult generate_fusion_speculative(const Dfsm& top,
-                                         std::span<const Partition> originals,
-                                         const GenerateOptions& options) {
-  const std::uint32_t n = top.size();
-  for (const Partition& p : originals) FFSM_EXPECTS(p.size() == n);
-
-  FusionResult result;
-  const FaultGraphOptions graph_options{.pool = options.pool,
-                                        .parallel = true};
-  FaultGraph graph = FaultGraph::build(n, originals, graph_options);
-  result.stats.dmin_before = graph.dmin();
-
-  LowerCoverCache local_cache(options.cache_config);
-  LowerCoverCache* const cache =
-      options.cache != nullptr ? options.cache : &local_cache;
-
-  LowerCoverOptions cover_options;
-  cover_options.pool = options.pool;
-  cover_options.parallel = true;
-  // The fused evaluator is the speculative engine's closure backend:
-  // bit-identical covers, one seeded union-find restored per pair instead
-  // of a fresh congruence closure each (see MergeClosureEngine).
-  cover_options.fused = true;
-  cover_options.cache = cache;
-  cover_options.obs = options.obs;
-
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::global();
-  SpeculationEngine spec(top, cover_options, pool, result.stats);
-  const std::uint32_t lookahead = options.speculation.lookahead;
-
-  const Partition identity = Partition::identity(n);
-  TaskHandle maintenance;  // previous iteration's pipelined add_machine
-  // The maintenance task captures references to `graph` and the partition
-  // just appended to `result` — both function-locals. If an exception
-  // unwinds out of the loop while it is in flight (e.g. bad_alloc from a
-  // consume), it must be joined before those locals die.
-  struct JoinOnExit {
-    TaskHandle* handle;
-    ~JoinOnExit() {
-      if (handle->valid()) (void)handle->join();
-    }
-  } join_maintenance{&maintenance};
-
-  while (true) {
-    // The pipelined maintenance task must land before any graph read.
-    if (maintenance.valid()) {
-      maintenance.join();
-      maintenance = TaskHandle{};
-    }
-    if (graph.dmin() == FaultGraph::kInfinity || graph.dmin() > options.f)
-      break;
-
-    const auto& weakest = graph.weakest_edges();
-    FFSM_ASSERT(!weakest.empty());
-
-    Partition current = identity;
-    std::shared_ptr<const SpeculationEngine::Cover> identity_cover;
-    while (true) {
-      auto cover = spec.consume(current);
-      if (identity_cover == nullptr) identity_cover = cover;
-      result.stats.candidates_examined += cover->size();
-      std::vector<const Partition*> viable;
-      for (const Partition& c : *cover)
-        if (covers_all(c, weakest)) viable.push_back(&c);
-      if (viable.empty()) break;
-      const std::vector<std::size_t> ranked =
-          rank_viable(viable, options.policy);
-      // Prefetch the committed branch's next level (always consumed on the
-      // next loop turn) and the best runners-up (cache fodder for
-      // reconverging descents).
-      for (std::size_t r = 0; r < ranked.size() && r < lookahead; ++r)
-        spec.launch(*viable[ranked[r]]);
-      current = *viable[ranked[0]];
-      ++result.stats.descent_steps;
-    }
-
-    result.partitions.push_back(std::move(current));
-    ++result.stats.machines_added;
-    const Partition& added = result.partitions.back();
-
-    // Copy the weakest set before the maintenance task invalidates the
-    // graph's memo; the prediction below filters against it.
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>> old_weakest =
-        weakest;
-    maintenance = pool.submit([&graph, &added] {
-      graph.add_machine(added);
-      // Finish every mutable write (delta + lazy rescan) inside the task;
-      // after join the loop top's reads are write-free.
-      graph.prepare_weakest_edges();
-    });
-
-    // Overlap with the maintenance task: warm the next iteration's descent
-    // entry, and predict its first step against the old weakest set.
-    if (lookahead > 0) {
-      spec.launch(identity);
-      if (identity_cover != nullptr) {
-        std::vector<const Partition*> viable;
-        for (const Partition& c : *identity_cover)
-          if (covers_all(c, old_weakest)) viable.push_back(&c);
-        if (!viable.empty()) {
-          const std::vector<std::size_t> ranked =
-              rank_viable(viable, options.policy);
-          for (std::size_t r = 0; r < ranked.size() && r < lookahead; ++r)
-            spec.launch(*viable[ranked[r]]);
-        }
-      }
-    }
-  }
-
-  spec.abandon_all();
-  result.stats.graph_edges_examined += graph.edges_examined();
-  result.stats.dmin_after = graph.dmin();
-  FFSM_ENSURES(result.stats.dmin_after == FaultGraph::kInfinity ||
-               result.stats.dmin_after > options.f);
-  return result;
-}
-
 }  // namespace
 
 FusionResult generate_fusion(const Dfsm& top,
                              std::span<const Partition> originals,
                              const GenerateOptions& options) {
-  // The speculative engine needs both a pool to speculate on and the
-  // incremental invariants (stable cache, delta-maintained graph). The
-  // serial path and the recompute-everything ablation keep the reference
-  // skeleton below.
-  if (options.parallel && options.incremental)
-    return generate_fusion_speculative(top, originals, options);
-
   const std::uint32_t n = top.size();
   for (const Partition& p : originals) FFSM_EXPECTS(p.size() == n);
 
@@ -355,6 +71,11 @@ FusionResult generate_fusion(const Dfsm& top,
   LowerCoverOptions cover_options;
   cover_options.pool = options.pool;
   cover_options.parallel = options.parallel;
+  // The fused evaluator (same covers; one seeded union-find restored per
+  // pair, pair closures stopped once they unite an earlier pair) backs the
+  // parallel engine. The serial path and the recompute-everything ablation
+  // keep the classic evaluator, which the serial oracles compare against.
+  cover_options.fused = options.parallel && options.incremental;
   cover_options.cache = cache;
   cover_options.obs = options.obs;
 
@@ -427,41 +148,6 @@ std::vector<FusionResult> generate_fusion_batch(
   LowerCoverCache* cache =
       options.cache != nullptr ? options.cache : &local_cache;
 
-  LowerCoverOptions cover_options;
-  cover_options.pool = options.pool;
-  cover_options.parallel = options.parallel;
-  cover_options.cache = cache;
-  cover_options.obs = options.obs;
-
-  // Amortize the shared top-machine work once, before fanning out: every
-  // request's first descent step needs the identity partition's lower cover
-  // — the single most expensive cover (B = N blocks) — so computing it here
-  // keeps the workers from duplicating it while the cache is still cold.
-  // Pointless when incremental=false: the per-request runs ignore the cache.
-  if (options.incremental && requests.size() > 1) {
-    LowerCoverOptions prewarm_options = cover_options;
-    prewarm_options.fused = true;  // same covers, leaner evaluation
-    const auto identity_cover = lower_cover_cached(
-        top, Partition::identity(top.size()), prewarm_options);
-    // One level deeper: every descent's second step starts from some child
-    // of identity, and the policies concentrate on their top-ranked child,
-    // so prewarm that one per distinct policy in the batch. A heuristic
-    // (each request's weakest-edge filter may rank differently), but a
-    // wrong guess is just an extra cached cover.
-    std::vector<DescentPolicy> policies;
-    for (const FusionRequest& request : requests)
-      if (std::find(policies.begin(), policies.end(), request.policy) ==
-          policies.end())
-        policies.push_back(request.policy);
-    std::vector<const Partition*> children;
-    children.reserve(identity_cover->size());
-    for (const Partition& c : *identity_cover) children.push_back(&c);
-    for (const DescentPolicy policy : policies)
-      if (!children.empty())
-        (void)lower_cover_cached(top, *children[pick(children, policy)],
-                                 prewarm_options);
-  }
-
   // Exceptions must not escape on a pool worker (that terminates the
   // process — see ThreadPool's exception policy); capture per request and
   // rethrow the first on the calling thread, so parallel and serial batches
@@ -479,9 +165,7 @@ std::vector<FusionResult> generate_fusion_batch(
       // running on a pool worker they degrade to inline execution.
       per_request.parallel = options.parallel;
       per_request.pool = options.pool;
-      per_request.incremental = options.incremental;
       per_request.cache = cache;
-      per_request.speculation = options.speculation;
       per_request.obs = options.obs;
       results[i] = generate_fusion(top, requests[i].originals, per_request);
     } catch (...) {

@@ -44,23 +44,13 @@ enum class DescentPolicy {
   kMostBlocks,
 };
 
-/// Tuning for the speculative descent engine (used when parallel &&
-/// incremental — see GenerateOptions).
-struct SpeculationOptions {
-  /// Number of ranked viable candidates whose next-level lower covers are
-  /// prefetched per descent step: the committed branch plus lookahead-1
-  /// runners-up. The committed branch's prefetch is always consumed (a
-  /// hit); runner-up covers land in the shared cache where reconverging
-  /// descents and later batch requests reuse them. 0 disables prefetching
-  /// (the engine still pipelines graph maintenance).
-  std::uint32_t lookahead = 2;
-};
-
 struct GenerateOptions {
   /// Crash faults to tolerate (use 2*f here to tolerate f Byzantine faults).
   std::uint32_t f = 1;
   DescentPolicy policy = DescentPolicy::kFewestBlocks;
-  /// Fan lower-cover closure evaluation out across the thread pool.
+  /// Fan lower-cover closure evaluation out across the thread pool, and
+  /// (with incremental) evaluate it through the fused MergeClosureEngine
+  /// (LowerCoverOptions::fused). Both evaluators give identical covers.
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Incremental engine (default): maintain the fault graph / weakest-edge
@@ -80,15 +70,8 @@ struct GenerateOptions {
   /// currently scanning alive via shared_ptr), so outputs are bit-identical
   /// at any capacity — only the recompute count varies.
   LowerCoverCacheConfig cache_config = {};
-  /// Speculative-descent tuning. Only consulted by the speculative engine
-  /// (parallel && incremental); the serial and ablation paths never
-  /// speculate. Speculation cannot change results — only which thread
-  /// computes a cover, and what lands in the cache early.
-  SpeculationOptions speculation = {};
   /// Optional observability context (nullptr = uninstrumented), forwarded
-  /// into every lower-cover call (see LowerCoverOptions::obs). The
-  /// generator itself adds `gen.speculation_join` (time the descent spends
-  /// waiting on a speculative prefetch it decided to consume). Never
+  /// into every lower-cover call (see LowerCoverOptions::obs). Never
   /// affects results.
   obs::Obs* obs = nullptr;
 };
@@ -110,15 +93,6 @@ struct GenerateStats {
   std::uint64_t cover_cache_hits = 0;
   /// Fault-graph edge slots examined (build + per-iteration maintenance).
   std::uint64_t graph_edges_examined = 0;
-  /// Speculative cover prefetches launched (speculative engine only).
-  std::uint64_t speculative_covers_launched = 0;
-  /// Prefetches the descent actually consumed — the committed branch's
-  /// cover was hot (or already being computed) when the descent arrived.
-  std::uint64_t speculation_hits = 0;
-  /// Closures computed by prefetches that were abandoned unconsumed. Not
-  /// counted in closures_evaluated (which tracks the descent chain's own
-  /// work); not pure waste either — abandoned covers stay in the cache.
-  std::uint64_t speculation_wasted_closures = 0;
   std::uint32_t dmin_before = 0;
   std::uint32_t dmin_after = 0;
 };
@@ -173,8 +147,6 @@ struct BatchOptions {
   /// Fan requests across the pool (inner loops run inline on the worker).
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Incremental per-request engine (see GenerateOptions::incremental).
-  bool incremental = true;
   /// Closure memo shared by all requests; nullptr = a per-batch cache.
   /// Passing a persistent cache amortizes work across successive batches
   /// (see sim::FusionService).
@@ -183,9 +155,6 @@ struct BatchOptions {
   /// nullptr` (see GenerateOptions::cache_config; results never depend on
   /// capacity).
   LowerCoverCacheConfig cache_config = {};
-  /// Per-request speculative-descent tuning (see
-  /// GenerateOptions::speculation).
-  SpeculationOptions speculation = {};
   /// Optional observability context (nullptr = uninstrumented): every
   /// request runs under a `gen.request` span tagged with `obs_top`, and
   /// obs flows down into the per-request generator + lower-cover calls.

@@ -202,19 +202,13 @@ void LowerCoverCache::make_room_locked() {
 }
 
 std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::insert(
-    const Partition& p, std::shared_ptr<const Cover> cover,
-    const CancellationToken* gate) {
+    const Partition& p, std::shared_ptr<const Cover> cover) {
   const std::unique_lock lock(mutex_);
   // First writer wins so concurrent computations of the same cover agree on
   // one shared value (they are identical anyway — the computation is
   // deterministic). A resident key never triggers eviction.
   const auto it = map_.find(p);
   if (it != map_.end()) return it->second->cover;
-
-  // The gate check must sit under the lock: a cancel() sequenced before a
-  // clear() on the owner's thread is visible here once clear() released
-  // the lock, making cancel-then-clear authoritative against stragglers.
-  if (gate != nullptr && gate->cancelled()) return cover;
 
   // TinyLFU admission: at capacity, the candidate must be strictly
   // hotter (by sketch estimate) than the LRU victim it would displace;
@@ -632,50 +626,6 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
   return options.sharded_dedup
              ? postpass_sharded(std::move(candidates), options)
              : postpass_serial(std::move(candidates));
-}
-
-std::uint64_t prefetch_lower_cover(
-    const Dfsm& machine, const Partition& p, const LowerCoverOptions& options,
-    const CancellationToken& token,
-    std::shared_ptr<const LowerCoverCache::Cover>* cover, bool* from_cache) {
-  obs::Obs* const obs = options.obs;
-  const bool timed = obs != nullptr && obs->enabled();
-  if (from_cache != nullptr) *from_cache = false;
-  if (cover != nullptr) *cover = nullptr;
-  if (options.cache != nullptr) {
-    const std::uint64_t find_start = timed ? obs->now_us() : 0;
-    auto cached = options.cache->find(p);
-    if (timed) obs->record("cache.get", obs->now_us() - find_start);
-    if (cached) {
-      if (from_cache != nullptr) *from_cache = true;
-      if (cover != nullptr) *cover = std::move(cached);
-      return 0;
-    }
-  }
-  if (token.cancelled()) return 0;
-
-  const std::uint32_t blocks = p.block_count();
-  const std::uint64_t closures =
-      blocks <= 1 ? 0
-                  : static_cast<std::uint64_t>(blocks) * (blocks - 1) / 2;
-  std::shared_ptr<const LowerCoverCache::Cover> computed;
-  {
-    obs::ScopedSpan span(obs, "gen.lower_cover");
-    computed = std::make_shared<const LowerCoverCache::Cover>(
-        lower_cover(machine, p, options));
-  }
-  // Publication is the only cancellation-gated step: the joiner may still
-  // consume a cover computed despite a late cancel, but a cancelled task
-  // must never re-populate a cache its owner already cleared. The token is
-  // passed as the insert gate so the decisive check runs under the cache's
-  // lock (atomic with respect to a concurrent cancel + clear).
-  if (options.cache != nullptr) {
-    const std::uint64_t insert_start = timed ? obs->now_us() : 0;
-    computed = options.cache->insert(p, std::move(computed), &token);
-    if (timed) obs->record("cache.insert", obs->now_us() - insert_start);
-  }
-  if (cover != nullptr) *cover = std::move(computed);
-  return closures;
 }
 
 }  // namespace ffsm

@@ -152,17 +152,8 @@ class LowerCoverCache {
 
   /// Inserts (first writer wins) and returns the cached value, evicting
   /// per the configured policy first when the table is at capacity.
-  ///
-  /// When `gate` is non-null, it is re-checked under the cache's exclusive
-  /// lock and a cancelled gate skips the insert (returning `cover`
-  /// unchanged, or the resident value when the key is already cached).
-  /// Because clear() takes the same lock, an owner that cancels a task's
-  /// token and then calls clear() is authoritative: the straggler either
-  /// inserted before the clear (and was dropped by it) or observes the
-  /// cancel under the lock and never inserts.
   std::shared_ptr<const Cover> insert(const Partition& p,
-                                      std::shared_ptr<const Cover> cover,
-                                      const CancellationToken* gate = nullptr);
+                                      std::shared_ptr<const Cover> cover);
 
   [[nodiscard]] std::size_t size() const;
 
@@ -330,21 +321,5 @@ struct LowerCoverOptions {
 [[nodiscard]] std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
     const Dfsm& machine, const Partition& p,
     const LowerCoverOptions& options = {}, bool* from_cache = nullptr);
-
-/// Speculative (cancellable) variant for prefetch tasks. Consults the
-/// cache, then — unless `token` was cancelled first — computes the cover.
-/// Cancellation gates *publication only*: a cover computed despite a late
-/// cancel is still handed back through `cover` (the joiner may use it),
-/// but it is never inserted into options.cache — the token is re-checked
-/// inside the cache's insert lock, so cancel() followed by clear() cannot
-/// be undone by a straggling speculation (see LowerCoverCache::insert).
-/// Returns the number of pair closures evaluated (0 on a cache hit or a
-/// pre-compute cancel); `from_cache` (optional) reports whether the cache
-/// served the call.
-std::uint64_t prefetch_lower_cover(
-    const Dfsm& machine, const Partition& p, const LowerCoverOptions& options,
-    const CancellationToken& token,
-    std::shared_ptr<const LowerCoverCache::Cover>* cover,
-    bool* from_cache = nullptr);
 
 }  // namespace ffsm

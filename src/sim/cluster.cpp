@@ -30,9 +30,7 @@ FusionCluster::FusionCluster(FusionClusterOptions options)
       FusionServiceOptions service_options;
       service_options.parallel = options_.parallel;
       service_options.pool = options_.pool;
-      service_options.incremental = options_.incremental;
       service_options.cache_config = options_.cache_config;
-      service_options.speculation_lookahead = options_.speculation_lookahead;
       // In-process shards record straight into the cluster's own context
       // (which is why ShardBackend::obs_snapshot's empty default is right
       // for them — nothing to merge twice).
@@ -428,9 +426,6 @@ FusionCluster::Stats FusionCluster::stats() const {
     // requests_served stay with the cluster's own atomics above (the
     // backend's copies count direct submissions too).
     out.shard_batches_served += totals.batches_served;
-    out.speculative_covers_launched += totals.speculative_covers_launched;
-    out.speculation_hits += totals.speculation_hits;
-    out.speculation_wasted_closures += totals.speculation_wasted_closures;
     out.restarts += totals.restarts;
     out.failovers += totals.failovers;
     out.health_probes_failed += totals.health_probes_failed;

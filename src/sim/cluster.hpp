@@ -55,14 +55,9 @@ struct FusionClusterOptions {
   /// composes via ThreadPool re-entrancy).
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Per-request engine mode (see GenerateOptions::incremental).
-  bool incremental = true;
   /// Bound + eviction policy for every top's persistent closure cache;
   /// total resident cache memory is O(tops * capacity) entries.
   LowerCoverCacheConfig cache_config = {};
-  /// Speculative-descent lookahead for every served request (see
-  /// SpeculationOptions::lookahead).
-  std::uint32_t speculation_lookahead = 2;
   /// Observability context shared by the cluster and its default
   /// in-process backends. nullptr (the default) makes the cluster
   /// construct and own a private *enabled* Obs, so drain spans and
@@ -122,11 +117,6 @@ class FusionCluster {
     std::uint64_t drains = 0;
     std::uint64_t drain_failures = 0;
     std::uint64_t shard_batches_served = 0;
-    /// Speculative cover prefetches launched / consumed / abandoned,
-    /// summed over every top's backend (see GenerateStats).
-    std::uint64_t speculative_covers_launched = 0;
-    std::uint64_t speculation_hits = 0;
-    std::uint64_t speculation_wasted_closures = 0;
     /// Worker restarts across every top's backend (processes respawned,
     /// connections re-established); 0 for in-process shards.
     std::uint64_t restarts = 0;

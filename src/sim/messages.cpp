@@ -234,9 +234,7 @@ std::string encode_response(const FusionResponse& response) {
   out << "stats " << s.machines_added << ' ' << s.descent_steps << ' '
       << s.candidates_examined << ' ' << s.closures_evaluated << ' '
       << s.cover_cache_hits << ' ' << s.graph_edges_examined << ' '
-      << s.speculative_covers_launched << ' ' << s.speculation_hits << ' '
-      << s.speculation_wasted_closures << ' ' << s.dmin_before << ' '
-      << s.dmin_after << '\n';
+      << s.dmin_before << ' ' << s.dmin_after << '\n';
   out << "end\n";
   return out.str();
 }
@@ -279,12 +277,6 @@ FusionResponse decode_response(std::string_view text) {
       s.cover_cache_hits =
           parse_unsigned<std::uint64_t>(words, "response stats");
       s.graph_edges_examined =
-          parse_unsigned<std::uint64_t>(words, "response stats");
-      s.speculative_covers_launched =
-          parse_unsigned<std::uint64_t>(words, "response stats");
-      s.speculation_hits =
-          parse_unsigned<std::uint64_t>(words, "response stats");
-      s.speculation_wasted_closures =
           parse_unsigned<std::uint64_t>(words, "response stats");
       s.dmin_before = parse_unsigned<std::uint32_t>(words, "response stats");
       s.dmin_after = parse_unsigned<std::uint32_t>(words, "response stats");
@@ -375,11 +367,9 @@ std::string encode_config(const ShardServiceConfig& config) {
   out << "config\n";
   out << "parallel " << (config.parallel ? 1 : 0) << '\n';
   out << "threads " << config.threads << '\n';
-  out << "incremental " << (config.incremental ? 1 : 0) << '\n';
   out << "cache_policy " << cache_policy_name(config.cache_config.policy)
       << '\n';
   out << "cache_capacity " << config.cache_config.capacity << '\n';
-  out << "speculation_lookahead " << config.speculation_lookahead << '\n';
   out << "end\n";
   return out.str();
 }
@@ -420,22 +410,15 @@ ShardServiceConfig decode_config(std::string_view text) {
     } else if (directive == "threads") {
       mark(1);
       out.threads = parse_unsigned<std::size_t>(words, "config threads");
-    } else if (directive == "incremental") {
-      mark(2);
-      out.incremental = parse_bool(words, "config incremental");
     } else if (directive == "cache_policy") {
-      mark(3);
+      mark(2);
       std::string name;
       if (!(words >> name)) bad("config: 'cache_policy' requires a name");
       out.cache_config.policy = cache_policy_from_name(name);
     } else if (directive == "cache_capacity") {
-      mark(4);
+      mark(3);
       out.cache_config.capacity =
           parse_unsigned<std::size_t>(words, "config cache_capacity");
-    } else if (directive == "speculation_lookahead") {
-      mark(5);
-      out.speculation_lookahead =
-          parse_unsigned<std::uint32_t>(words, "config speculation_lookahead");
     } else {
       bad("config: unknown field '" + directive + "'");
     }
@@ -443,7 +426,7 @@ ShardServiceConfig decode_config(std::string_view text) {
   }
   if (!have_header) bad("config: empty input");
   if (!ended) bad("config: missing 'end'");
-  if (seen != (1u << 6) - 1) bad("config: missing field");
+  if (seen != (1u << 4) - 1) bad("config: missing field");
   return out;
 }
 
@@ -953,9 +936,8 @@ class TextWireCodec final : public WireCodec {
 // count x u32 block ids):
 //
 //   kError       str detail
-//   kConfig      u8 parallel, u64 threads, u8 incremental,
-//                u8 cache_policy, u64 cache_capacity,
-//                u32 speculation_lookahead
+//   kConfig      u8 parallel, u64 threads, u8 cache_policy,
+//                u64 cache_capacity
 //   kTop         str key, str machine_text
 //   kServe       str key, u64 count, u64 parent (parent-side span id the
 //                worker parents its spans under; 0 = unlinked),
@@ -978,8 +960,6 @@ class TextWireCodec final : public WireCodec {
 //                u32 machines_added, u32 descent_steps,
 //                u64 candidates_examined, u64 closures_evaluated,
 //                u64 cover_cache_hits, u64 graph_edges_examined,
-//                u64 speculative_covers_launched, u64 speculation_hits,
-//                u64 speculation_wasted_closures,
 //                u32 dmin_before, u32 dmin_after
 //   (kOk, kDone, kPing, kPong, kShutdown, kBye: empty payload)
 
@@ -1150,10 +1130,8 @@ void encode_binary_payload(const Frame& frame, std::string& out) {
     case FrameType::kConfig:
       put_u8(out, frame.config.parallel ? 1 : 0);
       put_u64(out, frame.config.threads);
-      put_u8(out, frame.config.incremental ? 1 : 0);
       put_u8(out, cache_policy_wire(frame.config.cache_config.policy));
       put_u64(out, frame.config.cache_config.capacity);
-      put_u32(out, frame.config.speculation_lookahead);
       return;
     case FrameType::kTop:
       put_str(out, frame.key);
@@ -1248,9 +1226,6 @@ void encode_binary_payload(const Frame& frame, std::string& out) {
       put_u64(out, s.closures_evaluated);
       put_u64(out, s.cover_cache_hits);
       put_u64(out, s.graph_edges_examined);
-      put_u64(out, s.speculative_covers_launched);
-      put_u64(out, s.speculation_hits);
-      put_u64(out, s.speculation_wasted_closures);
       put_u32(out, s.dmin_before);
       put_u32(out, s.dmin_after);
       return;
@@ -1276,10 +1251,8 @@ Frame decode_binary_payload(FrameType type, BinReader& in) {
     case FrameType::kConfig:
       frame.config.parallel = in.boolean();
       frame.config.threads = in.u64();
-      frame.config.incremental = in.boolean();
       frame.config.cache_config.policy = cache_policy_from_wire(in.u8());
       frame.config.cache_config.capacity = in.u64();
-      frame.config.speculation_lookahead = in.u32();
       break;
     case FrameType::kTop:
       frame.key = in.str();
@@ -1398,9 +1371,6 @@ Frame decode_binary_payload(FrameType type, BinReader& in) {
       s.closures_evaluated = in.u64();
       s.cover_cache_hits = in.u64();
       s.graph_edges_examined = in.u64();
-      s.speculative_covers_launched = in.u64();
-      s.speculation_hits = in.u64();
-      s.speculation_wasted_closures = in.u64();
       s.dmin_before = in.u32();
       s.dmin_after = in.u32();
       break;
@@ -1553,7 +1523,10 @@ namespace {
 //       cachewarm snapshot before its done (it rides the serve round trip
 //       when the top's hottest keys moved, instead of a query of its own);
 //       cachewarm lost its count and is no longer a query.
-constexpr std::string_view kHelloVersion = "6";
+//   7 — the speculation counters left the stats and response frames, and
+//       speculation_lookahead and incremental left the config frame (text
+//       directives and binary payload bytes).
+constexpr std::string_view kHelloVersion = "7";
 
 }  // namespace
 

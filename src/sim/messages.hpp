@@ -17,8 +17,7 @@
 //   stats                                 config
 //   requests_submitted <n>                parallel <0|1>
 //   ... (one counter per line)            threads <n>
-//   end                                   incremental <0|1>
-//                                         cache_policy <lru|epoch|...>
+//   end                                   cache_policy <lru|epoch|...>
 //                                         cache_capacity <n>
 //                                         end
 //
@@ -76,9 +75,6 @@ struct FusionResponse {
   X(requests_submitted, kPerTop)                \
   X(requests_served, kPerTop)                   \
   X(batches_served, kPerTop)                    \
-  X(speculative_covers_launched, kPerTop)       \
-  X(speculation_hits, kPerTop)                  \
-  X(speculation_wasted_closures, kPerTop)       \
   X(restarts, kPerBackend)                      \
   X(failovers, kPerBackend)                     \
   X(health_probes_failed, kPerBackend)          \
@@ -116,12 +112,6 @@ struct ServiceStats {
   std::uint64_t requests_submitted = 0;
   std::uint64_t requests_served = 0;
   std::uint64_t batches_served = 0;
-  /// Speculation counters summed over every request this service drained
-  /// (see GenerateStats); all 0 when the engine runs serial or
-  /// non-incremental.
-  std::uint64_t speculative_covers_launched = 0;
-  std::uint64_t speculation_hits = 0;
-  std::uint64_t speculation_wasted_closures = 0;
   /// Worker restarts this serving state survived: respawned processes
   /// (SubprocessBackend), re-established connections (TcpBackend). Always
   /// 0 from the serving side itself — the backend that owns the restart
@@ -149,20 +139,15 @@ struct ServiceStats {
 };
 
 /// The FusionServiceOptions subset that can cross a process boundary
-/// (ThreadPool pointers cannot): engine mode, cache bound, and the
-/// worker-side parallelism switch.
+/// (ThreadPool pointers cannot): cache bound and the worker-side
+/// parallelism switch.
 struct ShardServiceConfig {
   /// Fan the worker's batches across its own pool.
   bool parallel = true;
   /// Worker pool size; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Per-request engine mode (see GenerateOptions::incremental).
-  bool incremental = true;
   /// Bound + eviction policy for each worker service's closure cache.
   LowerCoverCacheConfig cache_config = {};
-  /// Speculative prefetch depth per descent step (see
-  /// SpeculationOptions::lookahead); used when parallel && incremental.
-  std::uint32_t speculation_lookahead = 2;
 };
 
 /// A FusionRequest in its wire envelope: the backend ticket identifying
@@ -408,7 +393,7 @@ class WireCodec {
 //
 // The version is a single integer both sides must match exactly; it is
 // bumped whenever a negotiated payload changes shape in either encoding
-// (current: 6 — see kHelloVersion in messages.cpp for the history). A
+// (current: 7 — see kHelloVersion in messages.cpp for the history). A
 // worker seeing an unsupported version answers
 // `error unsupported%20hello%20version...`; the parent recognizes that
 // reply and fails the connection in every mode — no text fallback, since

@@ -75,9 +75,7 @@ std::vector<FusionService::Response> FusionService::drain(
   BatchOptions batch_options;
   batch_options.parallel = options_.parallel;
   batch_options.pool = options_.pool;
-  batch_options.incremental = options_.incremental;
   batch_options.cache = &cache_;
-  batch_options.speculation.lookahead = options_.speculation_lookahead;
   batch_options.obs = options_.obs;
   batch_options.obs_top = options_.obs_top;
   batch_options.obs_parent =
@@ -106,13 +104,6 @@ std::vector<FusionService::Response> FusionService::drain(
     const std::lock_guard<std::mutex> lock(mutex_);
     stats_.requests_served += responses.size();
     ++stats_.batches_served;
-    for (const Response& r : responses) {
-      stats_.speculative_covers_launched +=
-          r.result.stats.speculative_covers_launched;
-      stats_.speculation_hits += r.result.stats.speculation_hits;
-      stats_.speculation_wasted_closures +=
-          r.result.stats.speculation_wasted_closures;
-    }
   }
   return responses;
 }

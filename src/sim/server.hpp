@@ -75,8 +75,6 @@ struct FusionServiceOptions {
   /// Fan queued requests across the pool when serving a batch.
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Per-request engine mode (see GenerateOptions::incremental).
-  bool incremental = true;
   /// Bound + eviction policy for the persistent cross-batch closure cache.
   /// Bounding the cache never changes served results — an evicted cover is
   /// recomputed on the next miss — it only caps the service's resident
@@ -84,10 +82,6 @@ struct FusionServiceOptions {
   /// CacheEvictionPolicy::kUnbounded restores the legacy grow-forever
   /// behaviour).
   LowerCoverCacheConfig cache_config = {};
-  /// Speculative-descent lookahead applied to every served request (see
-  /// SpeculationOptions::lookahead; only consulted when parallel &&
-  /// incremental).
-  std::uint32_t speculation_lookahead = 2;
   /// Optional observability context (nullptr = uninstrumented), forwarded
   /// into every served batch (gen.request spans, lower-cover/cache
   /// metrics); the service itself adds `cache.warm_replay` (time to replay

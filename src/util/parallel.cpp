@@ -54,120 +54,6 @@ bool ThreadPool::on_this_pool() const noexcept {
   return false;
 }
 
-// One submitted task. Claiming (Pending -> Running or Pending -> Cancelled)
-// happens under `mutex`, so exactly one of {a pool worker, a joining
-// thread, a canceller} retires each task; the pending deque only carries
-// the pointer and never arbitrates.
-struct TaskHandle::State {
-  enum class Status { kPending, kRunning, kDone, kCancelled };
-
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  Status status = Status::kPending;  // guarded by mutex
-  std::function<void()> fn;          // released on claim/cancel
-  CancellationToken token;
-  const ThreadPool* pool = nullptr;  // for CurrentPoolScope on inline runs
-
-  /// Claims a pending task and runs it on the calling thread; a no-op when
-  /// some other thread already claimed it. A task whose token was
-  /// cancelled before the claim retires as Cancelled without running. The
-  /// body runs under the owning pool's scope so nested run_chunks calls
-  /// execute inline (the pool's workers may all be busy or nonexistent).
-  void claim_and_run() {
-    std::function<void()> body;
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (status != Status::kPending) return;
-      if (token.cancelled()) {
-        status = Status::kCancelled;
-        fn = nullptr;
-        done_cv.notify_all();
-        return;
-      }
-      status = Status::kRunning;
-      body = std::move(fn);
-      fn = nullptr;
-    }
-    // Mark Done even on unwind: a body that throws during an inline join
-    // must not leave concurrent joiners blocked forever (on a worker the
-    // exception terminates the process anyway, per the pool's policy).
-    struct MarkDone {
-      State* state;
-      ~MarkDone() {
-        const std::lock_guard<std::mutex> lock(state->mutex);
-        state->status = Status::kDone;
-        state->done_cv.notify_all();
-      }
-    } mark{this};
-    const CurrentPoolScope scope(pool);
-    body();
-  }
-
-  /// Retires a still-pending task as Cancelled; returns false when it was
-  /// already claimed.
-  bool cancel_if_pending() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (status != Status::kPending) return false;
-    status = Status::kCancelled;
-    fn = nullptr;
-    done_cv.notify_all();
-    return true;
-  }
-};
-
-bool TaskHandle::join() {
-  FFSM_EXPECTS(state_ != nullptr);
-  using Status = State::Status;
-  {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    if (state_->status == Status::kDone) return true;
-    if (state_->status == Status::kCancelled) return false;
-  }
-  // Pending or running. A pending task is claimed and run inline — the
-  // joining thread makes progress even when the pool has zero workers or
-  // they are all busy.
-  state_->claim_and_run();
-  // claim_and_run is a no-op when a pool worker claimed the task between
-  // the check above and the claim; the wait below covers that race — join
-  // must not return while the body is still running elsewhere.
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->done_cv.wait(lock, [this] {
-    return state_->status == Status::kDone ||
-           state_->status == Status::kCancelled;
-  });
-  return state_->status == Status::kDone;
-}
-
-void TaskHandle::cancel() {
-  FFSM_EXPECTS(state_ != nullptr);
-  state_->token.cancel();
-  (void)state_->cancel_if_pending();
-}
-
-bool TaskHandle::finished() const {
-  FFSM_EXPECTS(state_ != nullptr);
-  using Status = State::Status;
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->status == Status::kDone ||
-         state_->status == Status::kCancelled;
-}
-
-TaskHandle ThreadPool::submit(std::function<void()> fn,
-                              CancellationToken token) {
-  FFSM_EXPECTS(fn != nullptr);
-  auto state = std::make_shared<TaskHandle::State>();
-  state->fn = std::move(fn);
-  state->token = std::move(token);
-  state->pool = this;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    FFSM_EXPECTS(!stopping_);
-    tasks_.push_back(state);
-  }
-  work_ready_.notify_one();
-  return TaskHandle{std::move(state)};
-}
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -181,16 +67,11 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  std::deque<std::shared_ptr<TaskHandle::State>> leftover;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    leftover.swap(tasks_);
   }
   work_ready_.notify_all();
-  // Tasks still queued at teardown are discarded: mark them Cancelled so
-  // outstanding handles' join() returns false instead of blocking forever.
-  for (const auto& state : leftover) (void)state->cancel_if_pending();
   for (auto& w : workers_) w.join();
 }
 
@@ -199,40 +80,27 @@ void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     work_ready_.wait(lock, [this, seen_generation] {
-      return stopping_ || !tasks_.empty() ||
-             (batch_ != nullptr && generation_ != seen_generation);
+      return stopping_ || (batch_ != nullptr && generation_ != seen_generation);
     });
     if (stopping_) return;
 
-    // Batches keep priority over submitted tasks; tasks fill the gaps.
-    if (batch_ != nullptr && generation_ != seen_generation) {
-      Batch* const batch = batch_;
-      seen_generation = generation_;
-      ++active_workers_;
-      lock.unlock();
+    Batch* const batch = batch_;
+    seen_generation = generation_;
+    ++active_workers_;
+    lock.unlock();
 
-      {
-        const CurrentPoolScope scope(this);
-        while (true) {
-          const std::size_t i =
-              batch->next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch->chunks) break;
-          (*batch->fn)(i);
-        }
+    {
+      const CurrentPoolScope scope(this);
+      while (true) {
+        const std::size_t i =
+            batch->next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= batch->chunks) break;
+        (*batch->fn)(i);
       }
-
-      lock.lock();
-      if (--active_workers_ == 0) batch_done_.notify_all();
-      continue;
     }
 
-    const std::shared_ptr<TaskHandle::State> task = std::move(tasks_.front());
-    tasks_.pop_front();
-    lock.unlock();
-    // claim_and_run arbitrates against a concurrent inline join() or
-    // cancel() via the task's own state mutex; losing the race is a no-op.
-    task->claim_and_run();
     lock.lock();
+    if (--active_workers_ == 0) batch_done_.notify_all();
   }
 }
 

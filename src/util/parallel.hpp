@@ -24,76 +24,16 @@
 #pragma once
 
 #include <condition_variable>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ffsm {
 
-/// Cooperative cancellation flag shared between a task's submitter and its
-/// body. Copies share one flag; cancel() is sticky and thread-safe. A task
-/// observes cancellation by polling cancelled() at its own safe points —
-/// cancellation never interrupts a running body.
-class CancellationToken {
- public:
-  CancellationToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void cancel() const noexcept {
-    flag_->store(true, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool cancelled() const noexcept {
-    return flag_->load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/// Handle to one task submitted with ThreadPool::submit.
-///
-/// Lifecycle: Pending (queued) -> Running -> Done, or Pending -> Cancelled.
-/// join() never deadlocks, even on a pool with zero workers: a still-pending
-/// task is claimed and run inline on the joining thread. Handles are
-/// copyable (they share the task's state) and outlive the pool — a task the
-/// pool's destructor discarded reports Cancelled.
-class TaskHandle {
- public:
-  /// Empty handle; valid() is false and the other members must not be
-  /// called.
-  TaskHandle() = default;
-
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-
-  /// Blocks until the task finished; a still-pending task is claimed and
-  /// executed inline on this thread (so progress never depends on pool
-  /// workers being available). Returns true when the body ran to
-  /// completion, false when the task was cancelled before it started.
-  bool join();
-
-  /// Cancels the task's token and, when the task has not started yet,
-  /// retires it unrun (join() will return false). A task already running
-  /// only sees the cooperative token.
-  void cancel();
-
-  /// True once the task is Done or Cancelled (non-blocking).
-  [[nodiscard]] bool finished() const;
-
- private:
-  friend class ThreadPool;
-  struct State;
-  explicit TaskHandle(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
-};
-
-/// A fixed-size pool of worker threads executing submitted tasks.
+/// A fixed-size pool of worker threads executing chunked batches.
 ///
 /// Exception policy: a task that throws terminates the program (the
 /// exception escapes the worker). Library callers wrap user callbacks so
@@ -127,15 +67,6 @@ class ThreadPool {
   /// such a thread execute inline.
   [[nodiscard]] bool on_this_pool() const noexcept;
 
-  /// Enqueues one independent task; workers pick tasks up between batches
-  /// (batches keep priority — tasks are the speculative/background tier).
-  /// The token is polled before the body starts: a task cancelled while
-  /// still queued is retired unrun. Tasks must not throw (same policy as
-  /// run_chunks bodies: an escaped exception on a worker terminates; one
-  /// escaping an inline join() propagates to the joiner).
-  TaskHandle submit(std::function<void()> fn,
-                    CancellationToken token = {});
-
   /// Process-wide default pool (lazily constructed, hardware concurrency).
   static ThreadPool& global();
 
@@ -152,10 +83,6 @@ class ThreadPool {
   std::uint64_t generation_ = 0;     // guarded by mutex_
   std::size_t active_workers_ = 0;   // guarded by mutex_
   bool stopping_ = false;            // guarded by mutex_
-  /// Pending submitted tasks, FIFO; guarded by mutex_. Entries are claimed
-  /// under the task's own state mutex, so a joiner racing a worker for the
-  /// same task resolves cleanly (one runs it, the other waits).
-  std::deque<std::shared_ptr<TaskHandle::State>> tasks_;
 };
 
 /// Options controlling parallel_for execution.

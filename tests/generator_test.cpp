@@ -107,8 +107,7 @@ TEST(Generator, StatsCountDescentWork) {
 
 TEST(Generator, PrunedClosuresAreCountedOnlyWhenCoversAreComputed) {
   // gen.closure_pruned counts the fused evaluator's pair closures stopped
-  // early. lookahead 0 computes every cover inline (no speculation), so
-  // the cold run publishes all of them and the warm rerun computes none.
+  // early: the cold run computes every cover and the warm rerun none.
   const CrossProduct cp = testing::counter_pair_product();
   const std::vector<Partition> originals = testing::component_partitions(cp);
   ThreadPool pool(2);
@@ -117,7 +116,6 @@ TEST(Generator, PrunedClosuresAreCountedOnlyWhenCoversAreComputed) {
   options.f = 2;
   options.pool = &pool;
   options.cache = &cache;
-  options.speculation.lookahead = 0;
 
   obs::Obs cold_obs;
   options.obs = &cold_obs;
@@ -157,6 +155,96 @@ TEST(Generator, SerialAndParallelProduceIdenticalFusions) {
   const FusionResult a = generate_fusion(ex.top, ex.originals(), serial);
   const FusionResult b = generate_fusion(ex.top, ex.originals(), parallel);
   EXPECT_EQ(a.partitions, b.partitions);
+}
+
+TEST(Generator, ParallelMatchesSerialAcrossPoliciesFaultsThreadsAndCaches) {
+  // The pool-parallel engine (fused evaluator) against the serial one
+  // (classic evaluator), with LRU caches small enough to evict mid-descent.
+  const CrossProduct cp = testing::counter_pair_product();
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  for (const DescentPolicy policy :
+       {DescentPolicy::kFirstFound, DescentPolicy::kFewestBlocks,
+        DescentPolicy::kMostBlocks}) {
+    for (const std::uint32_t f : {1u, 2u, 3u}) {
+      GenerateOptions serial;
+      serial.f = f;
+      serial.policy = policy;
+      serial.parallel = false;
+      const FusionResult baseline = generate_fusion(cp.top, originals, serial);
+      ASSERT_FALSE(baseline.partitions.empty());
+
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        for (const std::size_t capacity : {2u, 1024u}) {
+          ThreadPool pool(threads);
+          GenerateOptions parallel = serial;
+          parallel.parallel = true;
+          parallel.pool = &pool;
+          parallel.cache_config.policy = CacheEvictionPolicy::kLru;
+          parallel.cache_config.capacity = capacity;
+          const FusionResult result =
+              generate_fusion(cp.top, originals, parallel);
+          EXPECT_EQ(result.partitions, baseline.partitions)
+              << "policy=" << static_cast<int>(policy) << " f=" << f
+              << " threads=" << threads << " capacity=" << capacity;
+          EXPECT_EQ(result.stats.machines_added,
+                    baseline.stats.machines_added);
+          EXPECT_EQ(result.stats.descent_steps, baseline.stats.descent_steps);
+          EXPECT_EQ(result.stats.dmin_after, baseline.stats.dmin_after);
+        }
+      }
+    }
+  }
+}
+
+TEST(Generator, WarmRerunOnASharedCacheEvaluatesNoClosures) {
+  const CrossProduct cp = testing::counter_pair_product();
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  LowerCoverCache cache({CacheEvictionPolicy::kUnbounded, 1});
+  ThreadPool pool(8);
+  GenerateOptions options;
+  options.f = 2;
+  options.parallel = true;
+  options.pool = &pool;
+  options.cache = &cache;
+  const FusionResult cold = generate_fusion(cp.top, originals, options);
+  const FusionResult warm = generate_fusion(cp.top, originals, options);
+  EXPECT_EQ(cold.partitions, warm.partitions);
+  EXPECT_GT(cold.stats.closures_evaluated, 0u);
+  EXPECT_EQ(warm.stats.closures_evaluated, 0u);
+  EXPECT_EQ(warm.stats.cover_cache_hits,
+            static_cast<std::uint64_t>(warm.stats.descent_steps) +
+                warm.stats.machines_added);
+}
+
+TEST(Generator, ParallelBatchMatchesPerRequestSerialGeneration) {
+  const CrossProduct cp = testing::counter_pair_product();
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  std::vector<FusionRequest> requests;
+  for (const DescentPolicy policy :
+       {DescentPolicy::kFewestBlocks, DescentPolicy::kFirstFound}) {
+    FusionRequest r;
+    r.originals = originals;
+    r.f = 2;
+    r.policy = policy;
+    requests.push_back(std::move(r));
+  }
+
+  ThreadPool pool(4);
+  BatchOptions batch;
+  batch.parallel = true;
+  batch.pool = &pool;
+  const std::vector<FusionResult> results =
+      generate_fusion_batch(cp.top, requests, batch);
+  ASSERT_EQ(results.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    GenerateOptions serial;
+    serial.f = requests[i].f;
+    serial.policy = requests[i].policy;
+    serial.parallel = false;
+    const FusionResult expect = generate_fusion(cp.top, originals, serial);
+    EXPECT_EQ(results[i].partitions, expect.partitions) << "request " << i;
+    EXPECT_EQ(results[i].stats.dmin_after, expect.stats.dmin_after);
+  }
 }
 
 TEST(Generator, BackupMachinesAreQuotients) {

@@ -62,8 +62,10 @@ class PingServer {
         std::string line;
         while (channel.read_line(line))
           if (line == "ping") {
-            channel.send("pong\n");
+            // Count before replying: the probe returns once the pong
+            // arrives, and its caller may read served() right away.
             served_.fetch_add(1);
+            channel.send("pong\n");
           }
       } catch (const ContractViolation&) {
         if (stopped_.load()) return;

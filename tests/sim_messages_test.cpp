@@ -123,9 +123,6 @@ TEST(WireResponseCodec, RandomResponsesRoundTripByteIdentically) {
     s.closures_evaluated = rng();
     s.cover_cache_hits = rng();
     s.graph_edges_examined = rng();
-    s.speculative_covers_launched = rng();
-    s.speculation_hits = rng();
-    s.speculation_wasted_closures = rng();
     s.dmin_before = static_cast<std::uint32_t>(rng.below(10));
     s.dmin_after = static_cast<std::uint32_t>(rng.below(10));
 
@@ -136,11 +133,6 @@ TEST(WireResponseCodec, RandomResponsesRoundTripByteIdentically) {
     EXPECT_EQ(back.result.partitions, original.result.partitions);
     EXPECT_EQ(back.result.stats.machines_added, s.machines_added);
     EXPECT_EQ(back.result.stats.candidates_examined, s.candidates_examined);
-    EXPECT_EQ(back.result.stats.speculative_covers_launched,
-              s.speculative_covers_launched);
-    EXPECT_EQ(back.result.stats.speculation_hits, s.speculation_hits);
-    EXPECT_EQ(back.result.stats.speculation_wasted_closures,
-              s.speculation_wasted_closures);
     EXPECT_EQ(back.result.stats.dmin_after, s.dmin_after);
     EXPECT_EQ(encode_response(back), text) << text;
   }
@@ -172,9 +164,6 @@ TEST(WireStatsCodec, RandomStatsRoundTripByteIdentically) {
     original.requests_submitted = rng();
     original.requests_served = rng();
     original.batches_served = rng();
-    original.speculative_covers_launched = rng();
-    original.speculation_hits = rng();
-    original.speculation_wasted_closures = rng();
     original.restarts = rng();
     original.failovers = rng();
     original.health_probes_failed = rng();
@@ -190,11 +179,6 @@ TEST(WireStatsCodec, RandomStatsRoundTripByteIdentically) {
     const std::string text = encode_stats(original);
     const ServiceStats back = decode_stats(text);
     EXPECT_EQ(back.requests_submitted, original.requests_submitted);
-    EXPECT_EQ(back.speculative_covers_launched,
-              original.speculative_covers_launched);
-    EXPECT_EQ(back.speculation_hits, original.speculation_hits);
-    EXPECT_EQ(back.speculation_wasted_closures,
-              original.speculation_wasted_closures);
     EXPECT_EQ(back.restarts, original.restarts);
     EXPECT_EQ(back.failovers, original.failovers);
     EXPECT_EQ(back.health_probes_failed, original.health_probes_failed);
@@ -210,26 +194,19 @@ TEST(WireConfigCodec, AllCachePoliciesRoundTripByteIdentically) {
   for (const CacheEvictionPolicy policy :
        {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch,
         CacheEvictionPolicy::kUnbounded, CacheEvictionPolicy::kLfuAdmit})
-    for (const bool parallel : {false, true})
-      for (const bool incremental : {false, true}) {
-        ShardServiceConfig original;
-        original.parallel = parallel;
-        original.threads = parallel ? 4 : 0;
-        original.incremental = incremental;
-        original.cache_config = {policy, 17};
-        original.speculation_lookahead = parallel ? 3 : 0;
-        const std::string text = encode_config(original);
-        const ShardServiceConfig back = decode_config(text);
-        EXPECT_EQ(back.parallel, original.parallel);
-        EXPECT_EQ(back.threads, original.threads);
-        EXPECT_EQ(back.incremental, original.incremental);
-        EXPECT_EQ(back.cache_config.policy, original.cache_config.policy);
-        EXPECT_EQ(back.cache_config.capacity,
-                  original.cache_config.capacity);
-        EXPECT_EQ(back.speculation_lookahead,
-                  original.speculation_lookahead);
-        EXPECT_EQ(encode_config(back), text);
-      }
+    for (const bool parallel : {false, true}) {
+      ShardServiceConfig original;
+      original.parallel = parallel;
+      original.threads = parallel ? 4 : 0;
+      original.cache_config = {policy, 17};
+      const std::string text = encode_config(original);
+      const ShardServiceConfig back = decode_config(text);
+      EXPECT_EQ(back.parallel, original.parallel);
+      EXPECT_EQ(back.threads, original.threads);
+      EXPECT_EQ(back.cache_config.policy, original.cache_config.policy);
+      EXPECT_EQ(back.cache_config.capacity, original.cache_config.capacity);
+      EXPECT_EQ(encode_config(back), text);
+    }
 }
 
 TEST(WireCodec, MalformedFramesThrow) {
@@ -269,14 +246,6 @@ TEST(WireCodec, MalformedFramesThrow) {
   std::string duplicated = stats_text;
   duplicated.replace(bytes_at, std::strlen("cache_bytes 0"), "restarts 0");
   EXPECT_THROW((void)decode_stats(duplicated), ContractViolation);
-  // Same for the speculation counters: a duplicated launched line standing
-  // in for a missing hits line keeps the line count right but must throw.
-  const auto hits_at = stats_text.find("speculation_hits 0\n");
-  ASSERT_NE(hits_at, std::string::npos);
-  std::string dup_spec = stats_text;
-  dup_spec.replace(hits_at, std::strlen("speculation_hits 0"),
-                   "speculative_covers_launched 0");
-  EXPECT_THROW((void)decode_stats(dup_spec), ContractViolation);
   // And for the admission counters added with the cache tentpole: a
   // duplicated rejects line standing in for the sketch-bytes line keeps
   // the line count right but must still throw.

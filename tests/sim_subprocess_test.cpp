@@ -215,7 +215,9 @@ TEST(SubprocessBackend, RespawnReplaysTheHotSetOfAHitOnlyDrain) {
 
   obs::Obs obs;
   SubprocessBackendOptions options;
-  options.config.parallel = false;  // no speculation: caches deterministic
+  // Serial batches serve requests in ticket order, so the cache's recency
+  // order (and with it the hot set) does not depend on thread timing.
+  options.config.parallel = false;
   options.obs = &obs;
   SubprocessBackend backend(options);
   backend.add_top("toggles", toggles.top);

@@ -168,6 +168,11 @@ TEST(WireNegotiation, StaleHelloVersionIsRejected) {
   EXPECT_THROW(
       (void)parse_client_hello("hello 5 bin,text", offers_binary, offers_text),
       ContractViolation);
+  // Version 6 peers still carry the speculation counters in stats and
+  // response frames, and speculation_lookahead and incremental in config.
+  EXPECT_THROW(
+      (void)parse_client_hello("hello 6 bin,text", offers_binary, offers_text),
+      ContractViolation);
   // The current client/worker pair still agrees with itself.
   std::string hello = client_hello(WireMode::kAuto);
   hello.pop_back();  // read_line strips the '\n'

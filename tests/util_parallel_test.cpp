@@ -160,124 +160,6 @@ TEST(ThreadPool, NestedRunChunksExecutesInline) {
   EXPECT_FALSE(pool.on_this_pool());
 }
 
-TEST(TaskHandle, EmptyHandleIsInvalid) {
-  TaskHandle handle;
-  EXPECT_FALSE(handle.valid());
-}
-
-TEST(TaskHandle, SubmitRunsAndJoinReportsCompletion) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  TaskHandle task = pool.submit([&] { ++ran; });
-  ASSERT_TRUE(task.valid());
-  EXPECT_TRUE(task.join());
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_TRUE(task.finished());
-  // join() is idempotent.
-  EXPECT_TRUE(task.join());
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskHandle, JoinClaimsInlineOnWorkerlessPool) {
-  // ThreadPool(1) has no workers, so nothing can run the task but the
-  // joiner itself.
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  TaskHandle task = pool.submit([&] { ran_on = std::this_thread::get_id(); });
-  EXPECT_FALSE(task.finished());
-  EXPECT_TRUE(task.join());
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(TaskHandle, CancelPendingTaskRetiresItUnrun) {
-  ThreadPool pool(1);  // zero workers: the task stays pending
-  std::atomic<int> ran{0};
-  CancellationToken token;
-  TaskHandle task = pool.submit([&] { ++ran; }, token);
-  task.cancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_TRUE(task.finished());
-  EXPECT_FALSE(task.join());
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(TaskHandle, CancelledTokenRetiresTaskAtClaimTime) {
-  // Cancelling the token (not the handle) after submission: the claim-time
-  // poll retires the task before the body starts.
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  CancellationToken token;
-  TaskHandle task = pool.submit([&] { ++ran; }, token);
-  token.cancel();
-  EXPECT_FALSE(task.join());
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(TaskHandle, ManyTasksAllRunOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kTasks = 200;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::vector<TaskHandle> tasks;
-  tasks.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i)
-    tasks.push_back(pool.submit([&, i] { ++hits[i]; }));
-  for (TaskHandle& t : tasks) EXPECT_TRUE(t.join());
-  for (std::size_t i = 0; i < kTasks; ++i)
-    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(TaskHandle, TasksInterleaveWithBatches) {
-  // Submitted tasks are the background tier: batches must still complete
-  // while tasks are queued, and every task still runs exactly once.
-  ThreadPool pool(4);
-  constexpr std::size_t kTasks = 32;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::vector<TaskHandle> tasks;
-  for (std::size_t i = 0; i < kTasks; ++i)
-    tasks.push_back(pool.submit([&, i] { ++hits[i]; }));
-  std::atomic<std::size_t> batch_sum{0};
-  pool.run_chunks(128, [&](std::size_t i) { batch_sum += i; });
-  EXPECT_EQ(batch_sum.load(), 128u * 127u / 2);
-  for (TaskHandle& t : tasks) EXPECT_TRUE(t.join());
-  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(TaskHandle, JoinBlocksWhenWorkerClaimsConcurrently) {
-  // Regression: join() used to return false immediately when a pool worker
-  // claimed the task between join()'s pending check and its inline claim —
-  // while the body was still running. Submit-then-join-immediately is
-  // exactly that race; with workers present, whoever loses the claim must
-  // wait for the winner, so join() == true and the body has finished.
-  ThreadPool pool(4);
-  constexpr std::size_t kRounds = 500;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    std::atomic<bool> body_finished{false};
-    TaskHandle task = pool.submit([&] {
-      // A short spin widens the window in which join() can observe the
-      // task Running rather than Pending or Done.
-      for (volatile int spin = 0; spin < 64; ++spin) {
-      }
-      body_finished.store(true);
-    });
-    EXPECT_TRUE(task.join()) << "round " << round;
-    EXPECT_TRUE(body_finished.load()) << "round " << round;
-  }
-}
-
-TEST(TaskHandle, DestroyedPoolCancelsPendingTasks) {
-  std::atomic<int> ran{0};
-  TaskHandle task;
-  {
-    ThreadPool pool(1);  // zero workers: the task cannot start
-    task = pool.submit([&] { ++ran; });
-  }
-  // The handle outlives the pool; the discarded task reports Cancelled.
-  EXPECT_TRUE(task.finished());
-  EXPECT_FALSE(task.join());
-  EXPECT_EQ(ran.load(), 0);
-}
-
 TEST(ThreadPool, ConcurrentExternalBatchesAreSerialized) {
   ThreadPool pool(3);
   constexpr std::size_t kSubmitters = 4;

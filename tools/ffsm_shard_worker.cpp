@@ -150,9 +150,7 @@ void handle_top(Worker& worker, const Frame& command) {
   FusionServiceOptions options;
   options.parallel = worker.config.parallel;
   options.pool = worker.pool ? &*worker.pool : nullptr;
-  options.incremental = worker.config.incremental;
   options.cache_config = worker.config.cache_config;
-  options.speculation_lookahead = worker.config.speculation_lookahead;
   options.obs = &worker.obs;
   options.obs_top = command.key;
   worker.services.emplace(

@@ -6,6 +6,7 @@
 
 #include "fault/fault_graph.hpp"
 #include "obs/obs.hpp"
+#include "oracle.hpp"
 #include "partition/lower_cover.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -74,62 +75,30 @@ void report() {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  // Dedup/maximality post-pass ablation: the pre-refactor serial
-  // unordered_set dedup + O(k^2) maximality scan against the sharded-hash
-  // parallel dedup + pool-parallel maximality filter, on the same
-  // closures. This was the serial bottleneck capping lower-cover scaling
-  // (Amdahl) before the refactor; covers must stay bit-identical.
-  std::printf("== Ablation: serial vs sharded dedup/maximality ==\n");
-  {
-    ThreadPool pool(8);
-    LowerCoverOptions serial_dedup;
-    serial_dedup.pool = &pool;
-    serial_dedup.sharded_dedup = false;
-    LowerCoverOptions sharded_dedup;
-    sharded_dedup.pool = &pool;
-    sharded_dedup.sharded_dedup = true;
-
-    std::vector<Partition> serial_result;
-    std::vector<Partition> sharded_result;
-    const double serial_ms = json.measure_ms(
-        "dedup_serial_t8",
-        [&] { serial_result = lower_cover(top, identity, serial_dedup); }, 3,
-        1);
-    const double sharded_ms = json.measure_ms(
-        "dedup_sharded_t8",
-        [&] { sharded_result = lower_cover(top, identity, sharded_dedup); },
-        3, 1);
-    bench::require(serial_result == sharded_result,
-                   "sharded dedup emits bit-identical covers");
-    const double speedup = sharded_ms > 0 ? serial_ms / sharded_ms : 0.0;
-    std::printf("lower_cover(256-top) @8 threads: serial dedup %.2f ms, "
-                "sharded dedup %.2f ms (%.2fx)\n\n",
-                serial_ms, sharded_ms, speedup);
-    json.add_metric("dedup", "sharded_speedup_t8", speedup);
-  }
-
-  // Closure evaluator ablation: the classic evaluator (a fresh
-  // merge_closure per block pair, then dedup) against the fused one (one
-  // seeded union-find restored per pair, a pair's closure stopped once it
-  // unites an earlier pair's blocks, inline dedup), on the same pool.
-  // Covers must stay bit-identical.
-  std::printf("== Ablation: classic vs fused closure evaluation ==\n");
+  // Closure evaluator ablation: the oracle (tests/oracle.hpp: a fresh
+  // merge_closure per block pair, then dedup and a naive maximality filter,
+  // on the calling thread) against lower_cover (one seeded union-find
+  // restored per pair, a pair's closure stopped once it unites an earlier
+  // pair's blocks, inline dedup) on a 4-thread pool. Covers must stay
+  // bit-identical.
+  std::printf("== Ablation: oracle vs fused closure evaluation ==\n");
   {
     ThreadPool pool(4);
-    LowerCoverOptions classic;
-    classic.pool = &pool;
-    LowerCoverOptions fused = classic;
-    fused.fused = true;
+    LowerCoverOptions fused;
+    fused.pool = &pool;
 
-    std::vector<Partition> classic_result;
+    std::vector<Partition> oracle_result;
     std::vector<Partition> fused_result;
-    const double classic_ms = json.measure_ms(
-        "evaluator_classic_t4",
-        [&] { classic_result = lower_cover(top, identity, classic); }, 3, 1);
+    const double oracle_ms = json.measure_ms(
+        "evaluator_oracle",
+        [&] {
+          oracle_result = ffsm::testing::oracle_lower_cover(top, identity);
+        },
+        3, 1);
     const double fused_ms = json.measure_ms(
         "evaluator_fused_t4",
         [&] { fused_result = lower_cover(top, identity, fused); }, 3, 1);
-    bench::require(classic_result == fused_result,
+    bench::require(oracle_result == fused_result,
                    "fused evaluator emits bit-identical covers");
 
     obs::Obs obs;
@@ -138,11 +107,11 @@ void report() {
     const std::uint64_t pruned = obs.snapshot().counters["gen.closure_pruned"];
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(top.size()) * (top.size() - 1) / 2;
-    const double speedup = fused_ms > 0 ? classic_ms / fused_ms : 0.0;
-    std::printf("lower_cover(256-top) @4 threads: classic %.2f ms, fused "
+    const double speedup = fused_ms > 0 ? oracle_ms / fused_ms : 0.0;
+    std::printf("lower_cover(256-top): oracle %.2f ms, fused @4 threads "
                 "%.2f ms (%.2fx); fused stopped %llu of %llu pair "
                 "closures early\n\n",
-                classic_ms, fused_ms, speedup,
+                oracle_ms, fused_ms, speedup,
                 static_cast<unsigned long long>(pruned),
                 static_cast<unsigned long long>(pairs));
     json.add_metric("evaluator", "fused_speedup_t4", speedup);
@@ -208,22 +177,6 @@ void lower_cover_threads(benchmark::State& state) {
 BENCHMARK(lower_cover_threads)
     ->RangeMultiplier(2)
     ->Range(1, 16)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void lower_cover_dedup_mode(benchmark::State& state) {
-  const Dfsm top = big_counter_top();
-  const Partition identity = Partition::identity(top.size());
-  ThreadPool pool(8);
-  LowerCoverOptions options;
-  options.pool = &pool;
-  options.sharded_dedup = state.range(0) != 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(lower_cover(top, identity, options));
-  state.SetLabel(options.sharded_dedup ? "sharded" : "serial");
-}
-BENCHMARK(lower_cover_dedup_mode)
-    ->DenseRange(0, 1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

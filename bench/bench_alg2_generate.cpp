@@ -71,6 +71,8 @@ void report() {
   const CrossProduct cp = bench::counter_pair_product(16);
   const auto originals = bench::original_partitions(cp);
 
+  // serial: the same engine on the calling thread, so the speedups below
+  // are thread scaling alone.
   GenerateOptions serial;
   serial.f = 2;
   serial.parallel = false;

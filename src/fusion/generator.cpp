@@ -59,45 +59,23 @@ FusionResult generate_fusion(const Dfsm& top,
 
   // The memo turns the shared prefix of all descents (every descent starts
   // at the identity partition) into lookups; a caller-provided cache extends
-  // the sharing across requests (generate_fusion_batch). incremental=false
-  // is the recompute-everything ablation baseline, so it ignores any
-  // supplied cache too.
+  // the sharing across requests (generate_fusion_batch).
   LowerCoverCache local_cache(options.cache_config);
   LowerCoverCache* cache =
-      !options.incremental
-          ? nullptr
-          : (options.cache != nullptr ? options.cache : &local_cache);
+      options.cache != nullptr ? options.cache : &local_cache;
 
   LowerCoverOptions cover_options;
   cover_options.pool = options.pool;
   cover_options.parallel = options.parallel;
-  // The fused evaluator (same covers; one seeded union-find restored per
-  // pair, pair closures stopped once they unite an earlier pair) backs the
-  // parallel engine. The serial path and the recompute-everything ablation
-  // keep the classic evaluator, which the serial oracles compare against.
-  cover_options.fused = options.parallel && options.incremental;
   cover_options.cache = cache;
   cover_options.obs = options.obs;
 
   // Outer loop: one fusion machine per iteration until dmin exceeds f.
   // dmin == kInfinity (single-state top) tolerates everything already.
-  while (true) {
-    if (!options.incremental && result.stats.machines_added > 0) {
-      // Ablation baseline: rebuild G(A ∪ F) from every machine instead of
-      // taking the O(E) delta update add_machine already applied.
-      result.stats.graph_edges_examined += graph.edges_examined();
-      std::vector<Partition> all(originals.begin(), originals.end());
-      all.insert(all.end(), result.partitions.begin(),
-                 result.partitions.end());
-      graph = FaultGraph::build(n, all, graph_options);
-    }
-    if (graph.dmin() == FaultGraph::kInfinity || graph.dmin() > options.f)
-      break;
-
+  while (graph.dmin() != FaultGraph::kInfinity && graph.dmin() <= options.f) {
     // Weakest edges are fixed for the whole descent (Lemma 1): the candidate
     // machine increases dmin iff it separates every one of them. One memoized
-    // O(E) derivation per outer iteration — versus a full graph rebuild plus
-    // scan on the non-incremental path.
+    // O(E) derivation per outer iteration.
     const auto& weakest = graph.weakest_edges();
     FFSM_ASSERT(!weakest.empty());
 
@@ -124,9 +102,7 @@ FusionResult generate_fusion(const Dfsm& top,
       ++result.stats.descent_steps;
     }
 
-    // The ablation baseline skips the delta update — its loop-top rebuild
-    // recomputes the graph (and dmin) from scratch instead.
-    if (options.incremental) graph.add_machine(current);
+    graph.add_machine(current);
     result.partitions.push_back(std::move(current));
     ++result.stats.machines_added;
   }

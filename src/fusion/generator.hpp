@@ -11,7 +11,9 @@
 // that still covers every *weakest edge* of the current fault graph
 // G(A ∪ F); stop when no such element exists. The weakest-edge set is fixed
 // for the whole descent (it only changes when F changes — paper Lemma 1), so
-// it is computed once per outer iteration.
+// it is computed once per outer iteration, and the fault graph itself is
+// kept by delta updates as machines are added. tests/oracle.hpp holds the
+// reference that rebuilds the graph every iteration and memoizes nothing.
 //
 // The paper's line 6 is nondeterministic ("∃ F ∈ C"); DescentPolicy selects
 // which viable candidate to follow, which affects the size (not the
@@ -48,21 +50,14 @@ struct GenerateOptions {
   /// Crash faults to tolerate (use 2*f here to tolerate f Byzantine faults).
   std::uint32_t f = 1;
   DescentPolicy policy = DescentPolicy::kFewestBlocks;
-  /// Fan lower-cover closure evaluation out across the thread pool, and
-  /// (with incremental) evaluate it through the fused MergeClosureEngine
-  /// (LowerCoverOptions::fused). Both evaluators give identical covers.
+  /// Fan lower-cover closure evaluation out across the thread pool; false
+  /// evaluates on the calling thread. Results are identical either way.
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Incremental engine (default): maintain the fault graph / weakest-edge
-  /// set by delta updates as fusion machines are added (paper Lemma 1) and
-  /// memoize lower covers across outer iterations. When false, every outer
-  /// iteration rebuilds the fault graph from scratch and recomputes every
-  /// closure — the ablation baseline (bench_ablation_incremental). Both
-  /// modes return bit-identical results.
-  bool incremental = true;
   /// Optional lower-cover memo shared across calls; must be dedicated to
-  /// `top`. nullptr = a private per-call cache. Ignored entirely when
-  /// incremental is false (the ablation baseline memoizes nothing).
+  /// `top`. nullptr = a private per-call cache, which still serves the
+  /// covers later descents repeat (every descent restarts at the
+  /// identity).
   LowerCoverCache* cache = nullptr;
   /// Eviction policy + capacity for the private per-call cache when
   /// `cache == nullptr`. A bounded cache never changes results: an evicted
@@ -86,8 +81,8 @@ struct GenerateStats {
   /// Block pairs examined by the lower covers actually computed (cache
   /// misses): B*(B-1)/2 per cover of a B-block partition, including pairs
   /// whose closure the fused evaluator stopped early (counted by the
-  /// `gen.closure_pruned` obs counter). The incremental engine's saving
-  /// shows up as candidates_examined >> closures_evaluated.
+  /// `gen.closure_pruned` obs counter). The memo's saving shows up as
+  /// candidates_examined >> closures_evaluated.
   std::uint64_t closures_evaluated = 0;
   /// Lower-cover calls served entirely from the memo.
   std::uint64_t cover_cache_hits = 0;

@@ -2,10 +2,9 @@
 //
 // The lattice of all closed partitions of a machine can be exponentially
 // large; the paper stresses that the fusion algorithm never materialises it.
-// This module exists for the *small* cases — reproducing Fig. 3, exploring
-// examples, and cross-checking lower_cover against the full lattice in
-// tests. Enumeration walks downward from the identity partition through
-// lower covers with deduplication and a hard node cap.
+// This module exists for the *small* cases — reproducing Fig. 3 and
+// exploring examples. Enumeration walks downward from the identity
+// partition through lower covers with deduplication and a hard node cap.
 #pragma once
 
 #include <cstdint>

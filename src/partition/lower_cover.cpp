@@ -4,7 +4,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "partition/closure.hpp"
@@ -321,127 +320,6 @@ std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
 
 namespace {
 
-/// Pre-refactor serial post-pass (ablation baseline): unordered_set dedup
-/// with first-occurrence order, then an O(k^2) serial maximality scan.
-std::vector<Partition> postpass_serial(std::vector<Partition>&& candidates) {
-  std::vector<Partition> unique;
-  {
-    std::unordered_set<std::size_t> seen;
-    for (auto& c : candidates) {
-      // hash()-based pre-filter, exact check on collision.
-      const std::size_t h = c.hash();
-      if (seen.contains(h)) {
-        bool duplicate = false;
-        for (const auto& u : unique)
-          if (u == c) {
-            duplicate = true;
-            break;
-          }
-        if (duplicate) continue;
-      }
-      seen.insert(h);
-      unique.push_back(std::move(c));
-    }
-  }
-
-  // Keep maximal elements: drop q when some other candidate r sits strictly
-  // between q and p (q < r). Every candidate is < p already.
-  std::vector<Partition> result;
-  for (std::size_t i = 0; i < unique.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < unique.size() && !dominated; ++j)
-      if (i != j && Partition::less(unique[i], unique[j])) dominated = true;
-    if (!dominated) result.push_back(unique[i]);
-  }
-  return result;
-}
-
-/// Sharded-hash parallel dedup + pool-parallel maximality filter. Equal
-/// partitions have equal hashes, so sharding candidates by hash makes the
-/// shards independent: no duplicate pair ever straddles two shards. Each
-/// shard keeps the *lowest* index of every distinct partition it sees, and
-/// re-sorting the surviving indices restores first-occurrence order —
-/// exactly the serial post-pass's output, at any thread count.
-std::vector<Partition> postpass_sharded(std::vector<Partition>&& candidates,
-                                        const LowerCoverOptions& options) {
-  const std::size_t n = candidates.size();
-  ParallelOptions popt;
-  popt.pool = options.pool;
-  popt.serial_threshold = 16;
-
-  std::vector<std::size_t> hashes(n);
-  const auto hash_one = [&](std::size_t i) {
-    hashes[i] = candidates[i].hash();
-  };
-  if (options.parallel) {
-    parallel_for(0, n, hash_one, popt);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) hash_one(i);
-  }
-
-  // Shard count is fixed (not thread-count-derived) so the work split —
-  // and therefore every intermediate — is identical on any pool.
-  constexpr std::size_t kShards = 32;
-  std::vector<std::vector<std::size_t>> survivors(kShards);
-  const auto dedup_shard = [&](std::size_t s) {
-    // hash -> surviving indices with that hash (collision chain).
-    std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
-    auto& out = survivors[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (hashes[i] % kShards != s) continue;
-      auto& chain = by_hash[hashes[i]];
-      bool duplicate = false;
-      for (const std::size_t j : chain)
-        if (candidates[j] == candidates[i]) {
-          duplicate = true;
-          break;
-        }
-      if (duplicate) continue;
-      chain.push_back(i);
-      out.push_back(i);
-    }
-  };
-  // Each shard scans the whole index range (an integer filter — cheap next
-  // to the closures); tiny inputs stay serial to skip the fan-out cost.
-  if (options.parallel && n >= 64) {
-    ParallelOptions shard_popt = popt;
-    shard_popt.serial_threshold = 2;
-    parallel_for(0, kShards, dedup_shard, shard_popt);
-  } else {
-    for (std::size_t s = 0; s < kShards; ++s) dedup_shard(s);
-  }
-
-  std::vector<std::size_t> order;
-  for (const auto& shard : survivors)
-    order.insert(order.end(), shard.begin(), shard.end());
-  std::sort(order.begin(), order.end());
-
-  std::vector<Partition> unique;
-  unique.reserve(order.size());
-  for (const std::size_t i : order) unique.push_back(std::move(candidates[i]));
-
-  // Maximality: one row per survivor, rows independent.
-  const std::size_t k = unique.size();
-  std::vector<char> dominated(k, 0);
-  const auto scan_row = [&](std::size_t i) {
-    for (std::size_t j = 0; j < k; ++j)
-      if (i != j && Partition::less(unique[i], unique[j])) {
-        dominated[i] = 1;
-        return;
-      }
-  };
-  if (options.parallel) {
-    parallel_for(0, k, scan_row, popt);
-  } else {
-    for (std::size_t i = 0; i < k; ++i) scan_row(i);
-  }
-
-  std::vector<Partition> result;
-  for (std::size_t i = 0; i < k; ++i)
-    if (!dominated[i]) result.push_back(std::move(unique[i]));
-  return result;
-}
-
 /// Fused evaluation: one MergeClosureEngine per chunk of pairs, inline
 /// dedup on the fused canonical hash (exact compare on collision) so
 /// duplicate closures never materialize a Partition. Chunks have a FIXED
@@ -453,12 +331,14 @@ std::vector<Partition> postpass_sharded(std::vector<Partition>&& candidates,
 /// <= closure j, so it is a duplicate or not maximal. By induction on i,
 /// every stopped closure is <= some closure that ran to completion (pair 0
 /// always does), and the first pair producing each maximal element always
-/// completes. So the candidates kept here have exactly the full
-/// candidate list's maximal elements, each at its first occurrence: the
-/// cover is bit-identical to the classic evaluator's at any thread count.
-/// The bound is the pair's own index, never another chunk's result, so
-/// chunks stay independent. Returns the distinct completed closures in
-/// index order and counts the stopped ones in `gen.closure_pruned`.
+/// completes. So the candidates kept here have exactly the maximal
+/// elements of the full list of pair closures, each at its first
+/// occurrence, and the cover equals the definition's element for element
+/// (tests/oracle.hpp). The bound is the pair's own index, never another
+/// chunk's result, so chunks stay independent and the cover is the same at
+/// any thread count; parallel=false evaluates every pair as one chunk on
+/// the calling thread. Returns the distinct completed closures in index
+/// order and counts the stopped ones in `gen.closure_pruned`.
 std::vector<Partition> fused_candidates(
     const Dfsm& machine, const Partition& p,
     const std::vector<std::pair<State, State>>& pairs,
@@ -525,7 +405,7 @@ std::vector<Partition> fused_candidates(
   // Merge chunks in index order with a global first-occurrence filter. A
   // value's global first occurrence survives its own chunk's inline dedup,
   // so processing chunk survivors in ascending global-index order yields
-  // exactly the classic first-occurrence output.
+  // exactly the first-occurrence order of the full list of pair closures.
   std::vector<Partition> unique;
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
   for (auto& chunk : chunk_distinct) {
@@ -570,62 +450,35 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
     for (std::uint32_t j = i + 1; j < blocks; ++j)
       pairs.emplace_back(rep[i], rep[j]);
 
+  // Candidates arrive deduplicated in first-occurrence order; keep the
+  // maximal ones, then check closedness on the few survivors.
   obs::Obs* const obs = options.obs;
   const bool timed = obs != nullptr && obs->enabled();
-
-  if (options.fused) {
-    // Already deduplicated in first-occurrence order; apply the same
-    // maximality filter as the post-passes, then check closedness on the
-    // few survivors (the classic path checks every closure inside
-    // merge_closure).
-    const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-    std::vector<Partition> unique = fused_candidates(machine, p, pairs,
-                                                     options);
-    if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
-    const std::size_t k = unique.size();
-    std::vector<char> dominated(k, 0);
-    const auto scan_row = [&](std::size_t i) {
-      for (std::size_t j = 0; j < k; ++j)
-        if (i != j && Partition::less(unique[i], unique[j])) {
-          dominated[i] = 1;
-          return;
-        }
-    };
-    if (options.parallel) {
-      ParallelOptions popt;
-      popt.pool = options.pool;
-      popt.serial_threshold = 16;
-      parallel_for(0, k, scan_row, popt);
-    } else {
-      for (std::size_t i = 0; i < k; ++i) scan_row(i);
-    }
-    std::vector<Partition> result;
-    for (std::size_t i = 0; i < k; ++i)
-      if (!dominated[i]) result.push_back(std::move(unique[i]));
-    for (const Partition& q : result) FFSM_ENSURES(is_closed(machine, q));
-    return result;
-  }
-
-  // Independent merge closures, one per pair.
   const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-  std::vector<Partition> candidates(pairs.size());
-  const auto evaluate = [&](std::size_t idx) {
-    const std::pair<State, State> merge[1] = {pairs[idx]};
-    candidates[idx] = merge_closure(machine, p, merge);
+  std::vector<Partition> unique = fused_candidates(machine, p, pairs, options);
+  if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
+  const std::size_t k = unique.size();
+  std::vector<char> dominated(k, 0);
+  const auto scan_row = [&](std::size_t i) {
+    for (std::size_t j = 0; j < k; ++j)
+      if (i != j && Partition::less(unique[i], unique[j])) {
+        dominated[i] = 1;
+        return;
+      }
   };
   if (options.parallel) {
     ParallelOptions popt;
     popt.pool = options.pool;
     popt.serial_threshold = 16;
-    parallel_for(0, pairs.size(), evaluate, popt);
+    parallel_for(0, k, scan_row, popt);
   } else {
-    for (std::size_t i = 0; i < pairs.size(); ++i) evaluate(i);
+    for (std::size_t i = 0; i < k; ++i) scan_row(i);
   }
-  if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
-
-  return options.sharded_dedup
-             ? postpass_sharded(std::move(candidates), options)
-             : postpass_serial(std::move(candidates));
+  std::vector<Partition> result;
+  for (std::size_t i = 0; i < k; ++i)
+    if (!dominated[i]) result.push_back(std::move(unique[i]));
+  for (const Partition& q : result) FFSM_ENSURES(is_closed(machine, q));
+  return result;
 }
 
 }  // namespace ffsm

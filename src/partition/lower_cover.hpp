@@ -6,17 +6,16 @@
 // with one pair of its blocks united; we therefore enumerate all
 // block-pair closures, deduplicate, and keep the maximal ones.
 //
-// Complexity: O(B^2) closures for B blocks, each O(N * |Sigma| * alpha);
-// the closures are independent, so they fan out across the thread pool.
-// The post-pass — dedup plus maximality filter — is itself parallel:
-// candidates are deduplicated by sharding on their content hash (equal
-// partitions hash equally, so duplicates always land in the same shard and
-// shards are independent), survivors are re-ordered by first occurrence,
-// and the O(k^2) maximality scan fans out one row per survivor. Both
-// passes produce bit-identical covers at any thread count, and the
-// pre-refactor serial post-pass is kept behind
-// LowerCoverOptions::sharded_dedup = false as the ablation baseline
-// (bench_ablation_parallel).
+// Complexity: O(B^2) pair closures for B blocks, each O(N * |Sigma| *
+// alpha). A MergeClosureEngine per fixed-size chunk of pairs seeds the base
+// union-find once and restores it per pair, stops a pair's closure once it
+// unites an earlier pair's blocks (it can then add no new maximal
+// element), and drops duplicates inline on the canonical hash. Chunks fan
+// out across the thread pool and merge in pair order, so the cover, order
+// included, is the same at any thread count; parallel=false runs one chunk
+// on the calling thread. The definition itself (one merge_closure per
+// pair, dedup, naive maximality filter) lives in tests/oracle.hpp as the
+// reference the evaluator is checked against.
 //
 // A lower cover depends only on (machine, p) — not on which originals or
 // fault graph drove the caller there — so results are memoizable across
@@ -273,36 +272,21 @@ class LowerCoverCache {
 
 struct LowerCoverOptions {
   /// Evaluate block-pair closures in parallel on this pool (nullptr =
-  /// global pool). Parallelism only kicks in past ParallelOptions'
-  /// serial threshold of pairs.
+  /// global pool), in chunks of 2,048 pairs; a cover with fewer pairs
+  /// runs as one chunk on the calling thread.
   ThreadPool* pool = nullptr;
+  /// false evaluates every pair as one chunk on the calling thread. Covers
+  /// are identical either way.
   bool parallel = true;
-  /// Sharded-hash parallel dedup + pool-parallel maximality filter
-  /// (default). false selects the pre-refactor serial unordered_set dedup
-  /// and O(k^2) serial maximality scan — kept as the ablation baseline
-  /// (bench_ablation_parallel's dedup series). Both modes produce
-  /// identical covers in identical order.
-  bool sharded_dedup = true;
-  /// Evaluate pair closures through MergeClosureEngine: the base
-  /// partition's union-find is seeded once and memcpy-restored per pair,
-  /// a pair's closure stops as soon as it unites an earlier pair's blocks
-  /// (it can then add no new maximal element), and duplicates are dropped
-  /// inline on the fused canonical hash before any Partition
-  /// materializes. Covers are bit-identical to the classic path at any
-  /// thread count (fixed-size pair chunks merged in index order);
-  /// default-off so the classic evaluator stays the ablation baseline.
-  /// When set, sharded_dedup is irrelevant (dedup already happened
-  /// inline).
-  bool fused = false;
   /// Optional memo shared across calls (and threads). Must only ever see
   /// partitions of one machine.
   LowerCoverCache* cache = nullptr;
   /// Optional observability context (nullptr = uninstrumented). Feeds the
   /// `gen.lower_cover` span (one full cover computation), the
   /// `gen.closure_eval` histogram (the candidate-evaluation phase inside
-  /// it), the `gen.closure_pruned` counter (fused pair closures stopped
-  /// early) and `cache.get` / `cache.insert` (memo lookup / publish
-  /// latency). Never affects results.
+  /// it), the `gen.closure_pruned` counter (pair closures stopped early)
+  /// and `cache.get` / `cache.insert` (memo lookup / publish latency).
+  /// Never affects results.
   obs::Obs* obs = nullptr;
 };
 

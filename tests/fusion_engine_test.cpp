@@ -1,6 +1,6 @@
-// The parallel incremental fusion engine: determinism across thread counts
-// and policies, incremental-vs-rebuild equivalence, closure-cache
-// correctness, and the batched entry point.
+// The parallel incremental fusion engine: agreement with the test-side
+// oracle across thread counts and policies, incremental-vs-rebuild
+// equivalence, closure-cache correctness, and the batched entry point.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,6 +9,7 @@
 #include "fsm/machine_catalog.hpp"
 #include "fsm/product.hpp"
 #include "fusion/generator.hpp"
+#include "oracle.hpp"
 #include "partition/lower_cover.hpp"
 #include "test_support.hpp"
 #include "util/parallel.hpp"
@@ -19,6 +20,7 @@ namespace {
 using ffsm::testing::CanonicalExample;
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
+using ffsm::testing::oracle_generate_fusion;
 
 TEST(FusionEngine, ParallelSerialEquivalenceAcrossThreadsAndPolicies) {
   const CrossProduct cp = counter_pair_product();
@@ -31,8 +33,11 @@ TEST(FusionEngine, ParallelSerialEquivalenceAcrossThreadsAndPolicies) {
     serial.f = 2;
     serial.policy = policy;
     serial.parallel = false;
-    const FusionResult baseline = generate_fusion(cp.top, originals, serial);
+    const FusionResult baseline =
+        oracle_generate_fusion(cp.top, originals, serial);
     ASSERT_FALSE(baseline.partitions.empty());
+    EXPECT_EQ(generate_fusion(cp.top, originals, serial).partitions,
+              baseline.partitions);
 
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
@@ -62,15 +67,12 @@ TEST(FusionEngine, IncrementalMatchesFullRecomputation) {
   for (const DescentPolicy policy :
        {DescentPolicy::kFirstFound, DescentPolicy::kFewestBlocks,
         DescentPolicy::kMostBlocks}) {
-    GenerateOptions incremental;
-    incremental.f = 2;
-    incremental.policy = policy;
-    incremental.incremental = true;
-    GenerateOptions rebuild = incremental;
-    rebuild.incremental = false;
+    GenerateOptions options;
+    options.f = 2;
+    options.policy = policy;
 
-    const FusionResult a = generate_fusion(cp.top, originals, incremental);
-    const FusionResult b = generate_fusion(cp.top, originals, rebuild);
+    const FusionResult a = generate_fusion(cp.top, originals, options);
+    const FusionResult b = oracle_generate_fusion(cp.top, originals, options);
     EXPECT_EQ(a.partitions, b.partitions);
     EXPECT_EQ(a.stats.machines_added, b.stats.machines_added);
     EXPECT_EQ(a.stats.descent_steps, b.stats.descent_steps);
@@ -160,9 +162,9 @@ TEST(FusionEngine, SharedCacheDoesNotChangeResults) {
 
 TEST(FusionEngine, BoundedCacheBitIdenticalAcrossCapacitiesAndThreads) {
   // A tiny bounded cache (1-4 entries) forces heavy eviction during the
-  // descents; outputs must stay bit-identical to the unbounded run at any
-  // thread count and under every descent policy — eviction only ever costs
-  // recomputation.
+  // descents; outputs must stay bit-identical to the unbounded run and the
+  // oracle at any thread count and under every descent policy — eviction
+  // only ever costs recomputation.
   const CrossProduct cp = counter_pair_product();
   const auto originals = component_partitions(cp);
 
@@ -174,8 +176,11 @@ TEST(FusionEngine, BoundedCacheBitIdenticalAcrossCapacitiesAndThreads) {
     unbounded.policy = policy;
     unbounded.parallel = false;
     unbounded.cache_config = {CacheEvictionPolicy::kUnbounded, 0};
-    const FusionResult baseline = generate_fusion(cp.top, originals, unbounded);
+    const FusionResult baseline =
+        oracle_generate_fusion(cp.top, originals, unbounded);
     ASSERT_FALSE(baseline.partitions.empty());
+    EXPECT_EQ(generate_fusion(cp.top, originals, unbounded).partitions,
+              baseline.partitions);
 
     for (const CacheEvictionPolicy eviction :
          {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch}) {
@@ -211,10 +216,22 @@ TEST(FusionEngine, BoundedCacheBatchMatchesUnbounded) {
     requests.push_back(std::move(r));
   }
 
+  std::vector<FusionResult> baseline;
+  for (const FusionRequest& r : requests) {
+    GenerateOptions single;
+    single.f = r.f;
+    single.policy = r.policy;
+    baseline.push_back(oracle_generate_fusion(cp.top, r.originals, single));
+  }
   BatchOptions unbounded;
   unbounded.parallel = false;
   unbounded.cache_config = {CacheEvictionPolicy::kUnbounded, 0};
-  const auto baseline = generate_fusion_batch(cp.top, requests, unbounded);
+  const auto unbounded_results =
+      generate_fusion_batch(cp.top, requests, unbounded);
+  ASSERT_EQ(unbounded_results.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i)
+    EXPECT_EQ(unbounded_results[i].partitions, baseline[i].partitions)
+        << "request " << i;
 
   for (const CacheEvictionPolicy eviction :
        {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch}) {
@@ -262,9 +279,8 @@ TEST(FusionEngine, BatchMatchesIndividualRequests) {
       GenerateOptions single;
       single.f = requests[i].f;
       single.policy = requests[i].policy;
-      single.parallel = false;
       const FusionResult expected =
-          generate_fusion(cp.top, requests[i].originals, single);
+          oracle_generate_fusion(cp.top, requests[i].originals, single);
       EXPECT_EQ(results[i].partitions, expected.partitions)
           << "request " << i << " threads " << threads;
       EXPECT_EQ(results[i].stats.dmin_after, expected.stats.dmin_after);

@@ -2,18 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 #include "fsm/machine_catalog.hpp"
 #include "fusion/fusion.hpp"
 #include "fusion/minimality.hpp"
 #include "obs/obs.hpp"
+#include "oracle.hpp"
 #include "test_support.hpp"
 
 namespace ffsm {
 namespace {
 
 using testing::CanonicalExample;
+using testing::oracle_generate_fusion;
 
 TEST(Generator, PaperWalkthroughFEquals1YieldsM6) {
   // Section 5.1: descending TOP -> M1 -> M6; "M6 is added to the fusion
@@ -155,45 +158,85 @@ TEST(Generator, SerialAndParallelProduceIdenticalFusions) {
   const FusionResult a = generate_fusion(ex.top, ex.originals(), serial);
   const FusionResult b = generate_fusion(ex.top, ex.originals(), parallel);
   EXPECT_EQ(a.partitions, b.partitions);
+  EXPECT_EQ(a.partitions,
+            oracle_generate_fusion(ex.top, ex.originals(), serial).partitions);
+}
+
+/// generate_fusion on `cp` against the oracle: once on the calling thread,
+/// then on a pool of each size in `threads` with an LRU cache of each
+/// capacity in `capacities`.
+void expect_engine_matches_oracle(
+    const CrossProduct& cp, std::uint32_t f, DescentPolicy policy,
+    std::initializer_list<std::size_t> threads,
+    std::initializer_list<std::size_t> capacities) {
+  SCOPED_TRACE(::testing::Message() << "top " << cp.top.size() << ", f " << f);
+  SCOPED_TRACE(::testing::Message() << "policy " << static_cast<int>(policy));
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  GenerateOptions serial;
+  serial.f = f;
+  serial.policy = policy;
+  serial.parallel = false;
+  const FusionResult baseline =
+      oracle_generate_fusion(cp.top, originals, serial);
+  ASSERT_FALSE(baseline.partitions.empty());
+  const auto expect_same = [&](const FusionResult& result) {
+    EXPECT_EQ(result.partitions, baseline.partitions);
+    EXPECT_EQ(result.stats.machines_added, baseline.stats.machines_added);
+    EXPECT_EQ(result.stats.descent_steps, baseline.stats.descent_steps);
+    EXPECT_EQ(result.stats.dmin_after, baseline.stats.dmin_after);
+  };
+
+  {
+    SCOPED_TRACE("serial");
+    expect_same(generate_fusion(cp.top, originals, serial));
+  }
+  for (const std::size_t thread_count : threads) {
+    for (const std::size_t capacity : capacities) {
+      SCOPED_TRACE(::testing::Message() << "threads " << thread_count);
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+      ThreadPool pool(thread_count);
+      GenerateOptions parallel = serial;
+      parallel.parallel = true;
+      parallel.pool = &pool;
+      parallel.cache_config.policy = CacheEvictionPolicy::kLru;
+      parallel.cache_config.capacity = capacity;
+      expect_same(generate_fusion(cp.top, originals, parallel));
+    }
+  }
 }
 
 TEST(Generator, ParallelMatchesSerialAcrossPoliciesFaultsThreadsAndCaches) {
-  // The pool-parallel engine (fused evaluator) against the serial one
-  // (classic evaluator), with LRU caches small enough to evict mid-descent.
+  // The engine on one thread and on pools, with LRU caches small enough to
+  // evict mid-descent, against the oracle: Algorithm 2 rebuilt from the
+  // definitions, memoizing nothing.
   const CrossProduct cp = testing::counter_pair_product();
-  const std::vector<Partition> originals = testing::component_partitions(cp);
   for (const DescentPolicy policy :
        {DescentPolicy::kFirstFound, DescentPolicy::kFewestBlocks,
-        DescentPolicy::kMostBlocks}) {
-    for (const std::uint32_t f : {1u, 2u, 3u}) {
-      GenerateOptions serial;
-      serial.f = f;
-      serial.policy = policy;
-      serial.parallel = false;
-      const FusionResult baseline = generate_fusion(cp.top, originals, serial);
-      ASSERT_FALSE(baseline.partitions.empty());
+        DescentPolicy::kMostBlocks})
+    for (const std::uint32_t f : {1u, 2u, 3u})
+      expect_engine_matches_oracle(cp, f, policy, {1u, 2u, 8u}, {2u, 1024u});
 
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        for (const std::size_t capacity : {2u, 1024u}) {
-          ThreadPool pool(threads);
-          GenerateOptions parallel = serial;
-          parallel.parallel = true;
-          parallel.pool = &pool;
-          parallel.cache_config.policy = CacheEvictionPolicy::kLru;
-          parallel.cache_config.capacity = capacity;
-          const FusionResult result =
-              generate_fusion(cp.top, originals, parallel);
-          EXPECT_EQ(result.partitions, baseline.partitions)
-              << "policy=" << static_cast<int>(policy) << " f=" << f
-              << " threads=" << threads << " capacity=" << capacity;
-          EXPECT_EQ(result.stats.machines_added,
-                    baseline.stats.machines_added);
-          EXPECT_EQ(result.stats.descent_steps, baseline.stats.descent_steps);
-          EXPECT_EQ(result.stats.dmin_after, baseline.stats.dmin_after);
-        }
-      }
-    }
+  // The repository benchmark's own tops. serve-warm asks about four
+  // counter pairs at f = 1..3 under both block-count policies; f = 3
+  // covers the smaller f, whose machines are its first ones (an outer
+  // iteration never reads f).
+  for (const std::uint32_t k : {8u, 9u, 10u, 12u}) {
+    const CrossProduct counters = testing::counter_pair_product(k);
+    for (const DescentPolicy policy :
+         {DescentPolicy::kFewestBlocks, DescentPolicy::kMostBlocks})
+      expect_engine_matches_oracle(counters, 3, policy, {4u}, {1024u});
   }
+  // recover fuses MESI, TCP and the paper's machines A and B at f = 2.
+  auto alphabet = Alphabet::create();
+  std::vector<Dfsm> machines;
+  machines.push_back(make_mesi(alphabet));
+  machines.push_back(make_tcp(alphabet));
+  machines.push_back(make_paper_machine_a(alphabet));
+  machines.push_back(make_paper_machine_b(alphabet));
+  const CrossProduct fused = reachable_cross_product(machines);
+  ASSERT_EQ(fused.top.size(), 176u);
+  expect_engine_matches_oracle(fused, 2, DescentPolicy::kFewestBlocks, {4u},
+                               {1024u});
 }
 
 TEST(Generator, WarmRerunOnASharedCacheEvaluatesNoClosures) {
@@ -237,11 +280,11 @@ TEST(Generator, ParallelBatchMatchesPerRequestSerialGeneration) {
       generate_fusion_batch(cp.top, requests, batch);
   ASSERT_EQ(results.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    GenerateOptions serial;
-    serial.f = requests[i].f;
-    serial.policy = requests[i].policy;
-    serial.parallel = false;
-    const FusionResult expect = generate_fusion(cp.top, originals, serial);
+    GenerateOptions single;
+    single.f = requests[i].f;
+    single.policy = requests[i].policy;
+    const FusionResult expect =
+        oracle_generate_fusion(cp.top, originals, single);
     EXPECT_EQ(results[i].partitions, expect.partitions) << "request " << i;
     EXPECT_EQ(results[i].stats.dmin_after, expect.stats.dmin_after);
   }

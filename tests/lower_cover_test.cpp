@@ -3,32 +3,54 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <tuple>
+#include <utility>
 
 #include "fsm/random_dfsm.hpp"
 #include "obs/obs.hpp"
+#include "oracle.hpp"
 #include "partition/closure.hpp"
-#include "partition/lattice.hpp"
 #include "test_support.hpp"
 
 namespace ffsm {
 namespace {
 
 using testing::CanonicalExample;
+using testing::oracle_lower_cover;
 using testing::pt;
 
 bool contains(const std::vector<Partition>& v, const Partition& p) {
   return std::find(v.begin(), v.end(), p) != v.end();
 }
 
-/// The fused evaluator (pruned pair closures, inline dedup), serial or on
-/// `pool`.
-LowerCoverOptions fused_options(ThreadPool* pool) {
+/// lower_cover on the calling thread (pool == nullptr) or on `pool`.
+LowerCoverOptions run_on(ThreadPool* pool) {
   LowerCoverOptions options;
-  options.fused = true;
   options.parallel = pool != nullptr;
   options.pool = pool;
   return options;
+}
+
+/// Every partition of n states: the restricted growth strings a[0] = 0,
+/// a[i] <= 1 + max(a[0..i-1]), which are exactly the canonical
+/// assignments. Bell(n) of them.
+std::vector<Partition> all_partitions(std::uint32_t n) {
+  std::vector<Partition> out;
+  std::vector<std::uint32_t> a(n, 0);
+  const auto extend = [&](const auto& self, std::uint32_t i,
+                          std::uint32_t blocks) -> void {
+    if (i == n) {
+      out.emplace_back(a);
+      return;
+    }
+    for (std::uint32_t b = 0; b <= blocks; ++b) {
+      a[i] = b;
+      self(self, i + 1, std::max(blocks, b + 1));
+    }
+  };
+  extend(extend, 1, 1);
+  return out;
 }
 
 TEST(LowerCover, OfTopIsTheBasis) {
@@ -113,9 +135,9 @@ TEST(LowerCover, SerialAndParallelAgree) {
   for (const auto& p : a) EXPECT_TRUE(contains(b, p));
 }
 
-// Cross-check against the full lattice on random machines: the lower cover
-// of each node must be exactly the maximal closed partitions strictly below
-// it.
+// Cross-check against the lattice built by brute force on random machines,
+// independent of lower_cover: the cover of each closed partition must be
+// exactly the maximal closed partitions strictly below it.
 class LowerCoverVsLattice : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
@@ -125,78 +147,89 @@ TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
   spec.num_events = 2;
   spec.seed = GetParam();
   const Dfsm m = make_random_connected_dfsm(al, "m", spec);
-  const ClosedPartitionLattice lattice = enumerate_lattice(m);
+  ASSERT_EQ(m.size(), 6u);
+
+  const std::vector<Partition> partitions = all_partitions(m.size());
+  ASSERT_EQ(partitions.size(), 203u);  // Bell(6)
+  std::vector<Partition> closed;
+  for (const Partition& p : partitions)
+    if (is_closed(m, p)) closed.push_back(p);
   ThreadPool pool(4);
 
-  for (const LatticeNode& node : lattice.nodes) {
-    // Reference: maximal strictly-below elements from the full lattice.
+  for (const Partition& node : closed) {
     std::vector<Partition> below;
-    for (const LatticeNode& other : lattice.nodes)
-      if (Partition::less(other.partition, node.partition))
-        below.push_back(other.partition);
+    for (const Partition& other : closed)
+      if (Partition::less(other, node)) below.push_back(other);
     std::vector<Partition> maximal;
-    for (const auto& q : below) {
-      bool dominated = false;
-      for (const auto& r : below)
-        if (!(q == r) && Partition::less(q, r)) {
-          dominated = true;
-          break;
-        }
-      if (!dominated) maximal.push_back(q);
+    for (const Partition& q : below)
+      if (std::none_of(below.begin(), below.end(), [&](const Partition& r) {
+            return Partition::less(q, r);
+          }))
+        maximal.push_back(q);
+
+    // The same set as the brute-force reference, in the oracle's order.
+    const auto expected = oracle_lower_cover(m, node);
+    for (ThreadPool* on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(node.to_string() + (on ? " on the pool" : " serially"));
+      const auto cover = lower_cover(m, node, run_on(on));
+      EXPECT_EQ(cover.size(), maximal.size());
+      for (const Partition& q : maximal) EXPECT_TRUE(contains(cover, q));
+      EXPECT_EQ(cover, expected);
     }
-
-    const auto cover = lower_cover(m, node.partition);
-    EXPECT_EQ(cover.size(), maximal.size())
-        << "node " << node.partition.to_string();
-    for (const auto& q : maximal)
-      EXPECT_TRUE(contains(cover, q)) << q.to_string();
-
-    // The fused evaluator: the classic cover, element for element, which
-    // is the lattice definition's set.
-    for (ThreadPool* fused_pool : {static_cast<ThreadPool*>(nullptr), &pool})
-      EXPECT_EQ(lower_cover(m, node.partition, fused_options(fused_pool)),
-                cover)
-          << "node " << node.partition.to_string()
-          << (fused_pool != nullptr ? " (fused, pool)" : " (fused, serial)");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LowerCoverVsLattice,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// The sharded-hash parallel dedup + parallel maximality filter must emit
-// exactly the serial post-pass's cover — same elements, same
+// lower_cover must emit exactly the oracle's cover — same elements, same
 // (first-occurrence) order — on any machine and at any thread count,
 // because descent policies like kFirstFound are order-sensitive.
 
-TEST(DedupEquivalence, ShardedMatchesSerialOnCatalogProduct) {
+TEST(DedupEquivalence, MatchesOracleOnCatalogProduct) {
   const CrossProduct cp = ffsm::testing::counter_pair_product();
   const Partition identity = Partition::identity(cp.top.size());
 
-  LowerCoverOptions legacy;
-  legacy.sharded_dedup = false;
-  const auto baseline = lower_cover(cp.top, identity, legacy);
-  ASSERT_FALSE(baseline.empty());
-
+  const auto expected = oracle_lower_cover(cp.top, identity);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(lower_cover(cp.top, identity, run_on(nullptr)), expected);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    LowerCoverOptions sharded;
-    sharded.pool = &pool;
-    sharded.sharded_dedup = true;
-    EXPECT_EQ(lower_cover(cp.top, identity, sharded), baseline)
+    EXPECT_EQ(lower_cover(cp.top, identity, run_on(&pool)), expected)
         << "threads=" << threads;
   }
+}
 
-  // Serial execution of the sharded algorithm is also bit-identical.
-  LowerCoverOptions serial_sharded;
-  serial_sharded.parallel = false;
-  serial_sharded.sharded_dedup = true;
-  EXPECT_EQ(lower_cover(cp.top, identity, serial_sharded), baseline);
+TEST(DedupEquivalence, MatchesOracleWhenMaximalElementsSpanChunks) {
+  // One event over two components: a 4-cycle (states 0-3), then a
+  // 40-state path (4-43) running into a 40-cycle (44-83). The identity's
+  // cover takes the 4-cycle's halving from pair 1, in the first 2,048-pair
+  // chunk, and the lasso's maximal elements from pairs past 2,048, so the
+  // order in which chunks merge shows in the cover's order.
+  auto al = Alphabet::create();
+  DfsmBuilder b("two-components", al);
+  b.states(84, "s");
+  const EventId e = b.event("e");
+  for (State s = 0; s < 4; ++s) b.transition(s, e, (s + 1) % 4);
+  for (State s = 4; s < 44; ++s) b.transition(s, e, s + 1);
+  for (State s = 44; s < 84; ++s) b.transition(s, e, 44 + (s - 43) % 40);
+  const Dfsm m = b.build(/*allow_unreachable=*/true);
+  const Partition identity = Partition::identity(m.size());
 
-  // So is the fused evaluator, serially and on a pool.
-  EXPECT_EQ(lower_cover(cp.top, identity, fused_options(nullptr)), baseline);
+  // The identity with each listed pair of states sharing a block.
+  const auto joined = [&](std::initializer_list<std::pair<State, State>> ps) {
+    std::vector<std::uint32_t> assignment(m.size());
+    for (State s = 0; s < m.size(); ++s) assignment[s] = s;
+    for (const auto& [a, b] : ps) assignment[b] = a;
+    return Partition(std::move(assignment));
+  };
+  const auto expected = oracle_lower_cover(m, identity);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(expected.front(), joined({{0, 2}, {1, 3}}));  // pair 1
+  EXPECT_TRUE(contains(expected, joined({{43, 83}})));    // pair 2,705
+  EXPECT_EQ(lower_cover(m, identity, run_on(nullptr)), expected);
   ThreadPool pool(4);
-  EXPECT_EQ(lower_cover(cp.top, identity, fused_options(&pool)), baseline);
+  EXPECT_EQ(lower_cover(m, identity, run_on(&pool)), expected);
 }
 
 /// (states, seed) of a random 3-event machine.
@@ -204,7 +237,7 @@ using RandomTop = std::tuple<std::uint32_t, std::uint64_t>;
 
 class DedupEquivalenceRandom : public ::testing::TestWithParam<RandomTop> {};
 
-TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
+TEST_P(DedupEquivalenceRandom, MatchesOracleDownARandomLattice) {
   auto al = Alphabet::create();
   RandomDfsmSpec spec;
   spec.states = std::get<0>(GetParam());
@@ -213,22 +246,17 @@ TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
   const Dfsm m = make_random_connected_dfsm(al, "m", spec);
 
   ThreadPool pool(4);
-  LowerCoverOptions legacy;
-  legacy.sharded_dedup = false;
-  LowerCoverOptions sharded;
-  sharded.pool = &pool;
-  sharded.sharded_dedup = true;
-  const LowerCoverOptions fused_serial = fused_options(nullptr);
-  const LowerCoverOptions fused_pool = fused_options(&pool);
+  const LowerCoverOptions serial = run_on(nullptr);
+  const LowerCoverOptions pooled = run_on(&pool);
 
-  // The fused evaluator stops the same pairs in one chunk (serial) as in
-  // many (pool): each pair's bound is its own index.
+  // Pair closures stop the same way in one chunk (serial) as in many
+  // (pool): each pair's bound is its own index.
   {
     obs::Obs serial_obs;
     obs::Obs pool_obs;
-    LowerCoverOptions counted_serial = fused_serial;
+    LowerCoverOptions counted_serial = serial;
     counted_serial.obs = &serial_obs;
-    LowerCoverOptions counted_pool = fused_pool;
+    LowerCoverOptions counted_pool = pooled;
     counted_pool.obs = &pool_obs;
     const Partition identity = Partition::identity(m.size());
     (void)lower_cover(m, identity, counted_serial);
@@ -237,30 +265,25 @@ TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
               pool_obs.snapshot().counters["gen.closure_pruned"]);
   }
 
-  // Walk a descent: compare the two post-passes and the fused evaluator
-  // at every node, following the first cover element (order-sensitive, so
-  // this also locks the ordering contract), plus every sibling's own
-  // cover once.
+  // Walk a descent: compare against the oracle at every node, following
+  // the first cover element (order-sensitive, so this also locks the
+  // ordering contract), plus every sibling's own cover once.
   Partition current = Partition::identity(m.size());
   while (true) {
-    const auto baseline = lower_cover(m, current, legacy);
-    EXPECT_EQ(lower_cover(m, current, sharded), baseline)
+    const auto expected = oracle_lower_cover(m, current);
+    EXPECT_EQ(lower_cover(m, current, serial), expected)
         << current.to_string();
-    EXPECT_EQ(lower_cover(m, current, fused_serial), baseline)
+    EXPECT_EQ(lower_cover(m, current, pooled), expected)
         << current.to_string();
-    EXPECT_EQ(lower_cover(m, current, fused_pool), baseline)
-        << current.to_string();
-    if (baseline.empty()) break;
-    for (const Partition& sibling : baseline) {
-      const auto sibling_baseline = lower_cover(m, sibling, legacy);
-      EXPECT_EQ(lower_cover(m, sibling, sharded), sibling_baseline)
+    if (expected.empty()) break;
+    for (const Partition& sibling : expected) {
+      const auto sibling_expected = oracle_lower_cover(m, sibling);
+      EXPECT_EQ(lower_cover(m, sibling, serial), sibling_expected)
           << sibling.to_string();
-      EXPECT_EQ(lower_cover(m, sibling, fused_serial), sibling_baseline)
-          << sibling.to_string();
-      EXPECT_EQ(lower_cover(m, sibling, fused_pool), sibling_baseline)
+      EXPECT_EQ(lower_cover(m, sibling, pooled), sibling_expected)
           << sibling.to_string();
     }
-    current = baseline.front();
+    current = expected.front();
   }
 }
 
@@ -275,7 +298,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DedupEquivalenceRandom,
                          ::testing::ValuesIn(small_tops()));
 
 // Tops of more than 64 blocks: the identity's 4,560 and 11,175 block pairs
-// span 3 and 6 of the fused evaluator's 2,048-pair chunks.
+// span 3 and 6 of lower_cover's 2,048-pair chunks.
 const RandomTop kWideTops[] = {{96, 1}, {96, 2}, {150, 1}};
 
 INSTANTIATE_TEST_SUITE_P(WideTops, DedupEquivalenceRandom,

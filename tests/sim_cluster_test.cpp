@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fusion/generator.hpp"
+#include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 
@@ -20,6 +21,7 @@ namespace {
 
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
+using ffsm::testing::oracle_generate_fusion;
 
 /// Two distinct tops (16- and 36-state counter products) plus their
 /// originals — the standard multi-tenant fixture.
@@ -104,7 +106,7 @@ TEST(FusionCluster, ServesMultiTopWorkloadMatchingDirectGeneration) {
   EXPECT_EQ(report.responses[2].ticket, t3);
   EXPECT_EQ(report.responses[2].client, "carol");
 
-  // Each response is bit-identical to a direct serial generate_fusion.
+  // Each response is bit-identical to the oracle's Algorithm 2 run.
   const auto expect_direct = [](const Dfsm& top,
                                 const std::vector<Partition>& originals,
                                 std::uint32_t f, DescentPolicy policy,
@@ -112,8 +114,8 @@ TEST(FusionCluster, ServesMultiTopWorkloadMatchingDirectGeneration) {
     GenerateOptions single;
     single.f = f;
     single.policy = policy;
-    single.parallel = false;
-    const FusionResult expected = generate_fusion(top, originals, single);
+    const FusionResult expected =
+        oracle_generate_fusion(top, originals, single);
     EXPECT_EQ(actual.partitions, expected.partitions);
   };
   expect_direct(fx.small.top, fx.small_originals, 1,

@@ -8,6 +8,7 @@
 #include "fsm/product.hpp"
 #include "sim/event_source.hpp"
 #include "sim/fault_injector.hpp"
+#include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 
@@ -210,15 +211,14 @@ TEST(FusionService, ServesMultipleClientsInTicketOrder) {
   EXPECT_EQ(responses[1].ticket, t2);
   EXPECT_EQ(responses[1].client, "bob");
 
-  // Each response matches a direct serial generate_fusion call.
+  // Each response matches the oracle's Algorithm 2 run.
   for (const auto& [request, response] :
        {std::pair{r1, responses[0]}, std::pair{r2, responses[1]}}) {
     GenerateOptions single;
     single.f = request.f;
     single.policy = request.policy;
-    single.parallel = false;
-    const FusionResult expected =
-        generate_fusion(service.top(), request.originals, single);
+    const FusionResult expected = testing::oracle_generate_fusion(
+        service.top(), request.originals, single);
     EXPECT_EQ(response.result.partitions, expected.partitions);
   }
 

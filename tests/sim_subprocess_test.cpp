@@ -18,6 +18,7 @@
 #include "fusion/generator.hpp"
 #include "obs/obs.hpp"
 #include "sim/cluster.hpp"
+#include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 
@@ -26,6 +27,7 @@ namespace {
 
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
+using ffsm::testing::oracle_generate_fusion;
 
 /// The standard two-top fixture plus the reference results a cluster of
 /// any backend must reproduce bit-identically.
@@ -40,10 +42,9 @@ struct SubprocessFixture {
     GenerateOptions options;
     options.f = f;
     options.policy = policy;
-    options.parallel = false;
-    return generate_fusion(small_top ? small.top : large.top,
-                           small_top ? small_originals : large_originals,
-                           options);
+    return oracle_generate_fusion(small_top ? small.top : large.top,
+                                  small_top ? small_originals : large_originals,
+                                  options);
   }
 };
 

@@ -19,6 +19,7 @@
 #include "fusion/generator.hpp"
 #include "net/listener.hpp"
 #include "sim/cluster.hpp"
+#include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 
@@ -27,6 +28,7 @@ namespace {
 
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
+using ffsm::testing::oracle_generate_fusion;
 using std::chrono::milliseconds;
 
 /// The standard two-top fixture plus the reference results any backend
@@ -42,10 +44,9 @@ struct TcpFixture {
     GenerateOptions options;
     options.f = f;
     options.policy = policy;
-    options.parallel = false;
-    return generate_fusion(small_top ? small.top : large.top,
-                           small_top ? small_originals : large_originals,
-                           options);
+    return oracle_generate_fusion(small_top ? small.top : large.top,
+                                  small_top ? small_originals : large_originals,
+                                  options);
   }
 };
 

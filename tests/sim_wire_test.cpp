@@ -20,6 +20,7 @@
 #include "sim/messages.hpp"
 #include "sim/subprocess_backend.hpp"
 #include "sim/tcp_backend.hpp"
+#include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
@@ -29,6 +30,7 @@ namespace {
 
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
+using ffsm::testing::oracle_generate_fusion;
 using std::chrono::milliseconds;
 
 /// The standard two-top fixture plus the reference results any wire must
@@ -44,10 +46,9 @@ struct WireFixture {
     GenerateOptions options;
     options.f = f;
     options.policy = policy;
-    options.parallel = false;
-    return generate_fusion(small_top ? small.top : large.top,
-                           small_top ? small_originals : large_originals,
-                           options);
+    return oracle_generate_fusion(small_top ? small.top : large.top,
+                                  small_top ? small_originals : large_originals,
+                                  options);
   }
 };
 

@@ -4,16 +4,14 @@
 // large-workload regression test: bounded-cache runs must serve
 // bit-identical results to the unbounded run, every shard cache must
 // respect its capacity, and the out-of-process backends — subprocess
-// workers over socketpairs, loopback-TCP workers behind a listener on
-// BOTH wire encodings (text pinned and binary required, raced against
-// the same oracle), and a two-replica seed list per shard (replica-tcp)
-// with a live HealthMonitor probing both replicas — must serve
-// bit-identical responses to the in-process one for the same request
-// stream — all hard-asserted here, so a violation fails CI, as is the
-// binary wire's cold drain landing within 15% of in-process. The JSON
-// entries carry a "backend" field so in-process vs subprocess vs
-// tcp(text) vs tcp-bin vs replica-tcp overhead is tracked in the perf
-// history from day one.
+// workers over socketpairs, a loopback-TCP worker behind a listener
+// (tcp-bin: a one-endpoint replica-tcp shard), and a two-replica seed list
+// per shard (replica-tcp) with a live HealthMonitor probing both replicas
+// — must serve bit-identical responses to the in-process one for the same
+// request stream — all hard-asserted here, so a violation fails CI, as is
+// the loopback wire's cold drain landing within 15% of in-process. The
+// JSON entries carry a "backend" field so in-process vs subprocess vs
+// tcp-bin vs replica-tcp overhead is tracked in the perf history.
 #include "bench_support.hpp"
 
 #include <algorithm>
@@ -34,7 +32,7 @@
 #include "obs/obs.hpp"
 #include "sim/backend_config.hpp"
 #include "sim/cluster.hpp"
-#include "sim/tcp_backend.hpp"
+#include "sim/replica_backend.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -205,14 +203,14 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
 }
 
 /// The tentpole acceptance check as a benchmark: the same request stream
-/// through the in-process, subprocess, loopback-TCP (both wire encodings,
-/// raced) and replica-tcp backends, timed per backend, with bit-identical
-/// responses hard-asserted in-bench — and the binary wire's cold drain
-/// required to land within 15% of the in-process baseline.
+/// through the in-process, subprocess, loopback-TCP and replica-tcp
+/// backends, timed per backend, with bit-identical responses hard-asserted
+/// in-bench — and the loopback wire's cold drain required to land within
+/// 15% of the in-process baseline.
 void report_backends(bench::JsonReporter& json, const Workload& w,
                      ThreadPool& pool) {
   std::printf(
-      "== Serving backends: in-process vs subprocess vs tcp (text|bin) vs "
+      "== Serving backends: in-process vs subprocess vs tcp-bin vs "
       "replica-tcp shards ==\n");
   const std::size_t clients = 8 * w.keys.size();
   const LowerCoverCacheConfig cache = {CacheEvictionPolicy::kLru, 64};
@@ -230,10 +228,9 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
     return monitor;
   }());
 
-  // Every serving tier as one declarative BackendConfig. "tcp" pins the
-  // pre-negotiation text wire and "tcp-bin" requires the binary framing,
-  // so the two encodings race over the same loopback worker against the
-  // same oracle; "subprocess" and "replica-tcp" negotiate (kAuto).
+  // Every serving tier as one declarative BackendConfig. "tcp-bin" is a
+  // one-endpoint replica-tcp shard: one remote worker, every shard on its
+  // own connection; "replica-tcp" adds the second replica.
   struct Entry {
     const char* label;  // table row + JSON backend tag
     BackendConfig config;
@@ -252,13 +249,9 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
     Entry subprocess{"subprocess", base};
     subprocess.config.kind = BackendConfig::Kind::kSubprocess;
     entries.push_back(subprocess);
-    Entry tcp{"tcp", base};
-    tcp.config.kind = BackendConfig::Kind::kTcp;
-    tcp.config.endpoints = {{"127.0.0.1", tcp_worker.port()}};
-    tcp.config.wire = WireMode::kText;
-    entries.push_back(tcp);
-    Entry tcp_bin{"tcp-bin", tcp.config};
-    tcp_bin.config.wire = WireMode::kBinary;
+    Entry tcp_bin{"tcp-bin", base};
+    tcp_bin.config.kind = BackendConfig::Kind::kReplica;
+    tcp_bin.config.endpoints = {{"127.0.0.1", tcp_worker.port()}};
     entries.push_back(tcp_bin);
     Entry replica{"replica-tcp", base};
     replica.config.kind = BackendConfig::Kind::kReplica;
@@ -270,10 +263,9 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
 
   std::vector<std::vector<Partition>> baseline;  // in-process responses
   double inprocess_cold_ms = 0.0;
-  double tcp_text_cold_ms = 0.0;
   double tcp_bin_cold_ms = 0.0;
-  TextTable table({"backend", "wire", "cold drain ms", "warm drain ms",
-                   "shard batches", "cache hits", "restarts", "failovers"});
+  TextTable table({"backend", "cold drain ms", "warm drain ms", "shard batches",
+                   "cache hits", "restarts", "failovers"});
   for (const Entry& entry : entries) {
     const char* const name = entry.label;
     json.set_backend(name);
@@ -347,12 +339,8 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
     bench::require(stats.health_probes_failed == 0,
                    "no failed health probes during a healthy bench run");
     if (std::string(name) == "inprocess") inprocess_cold_ms = cold_ms;
-    if (std::string(name) == "tcp") tcp_text_cold_ms = cold_ms;
     if (std::string(name) == "tcp-bin") tcp_bin_cold_ms = cold_ms;
-    const bool connecting =
-        entry.config.kind != BackendConfig::Kind::kInProcess;
-    table.add_row({name, connecting ? wire_mode_name(entry.config.wire) : "-",
-                   std::to_string(cold_ms), std::to_string(warm_ms),
+    table.add_row({name, std::to_string(cold_ms), std::to_string(warm_ms),
                    std::to_string(stats.shard_batches_served),
                    std::to_string(stats.cache_hits),
                    std::to_string(stats.restarts),
@@ -389,9 +377,9 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
   // history and hard-asserted: the binary framing must close the
   // loopback-TCP cold-drain gap to within 15% of serving in-process.
   std::printf(
-      "cold drain, text vs binary wire: tcp %.1f ms vs tcp-bin %.1f ms "
+      "cold drain, binary wire: tcp-bin %.1f ms "
       "(in-process baseline %.1f ms)\n\n",
-      tcp_text_cold_ms, tcp_bin_cold_ms, inprocess_cold_ms);
+      tcp_bin_cold_ms, inprocess_cold_ms);
   json.add_metric("tcp-bin", "cold_drain_vs_inprocess",
                   tcp_bin_cold_ms / inprocess_cold_ms);
   bench::require(tcp_bin_cold_ms <= 1.15 * inprocess_cold_ms,
@@ -577,9 +565,8 @@ void report_obs(bench::JsonReporter& json, const Workload& w,
   ListenerWorkerProcess worker;
   obs::Obs wire_obs;
   BackendConfig config;
-  config.kind = BackendConfig::Kind::kTcp;
+  config.kind = BackendConfig::Kind::kReplica;
   config.endpoints = {{"127.0.0.1", worker.port()}};
-  config.wire = WireMode::kBinary;
   config.service.parallel = true;
   config.service.threads = 0;
   config.service.cache_config = cache;

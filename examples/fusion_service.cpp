@@ -12,22 +12,20 @@
 //
 // The backend is selectable: --backend=inprocess serves in this address
 // space (default); --backend=subprocess forks one ffsm_shard_worker per
-// shard and speaks the wire protocol over pipes; --backend=tcp speaks the
-// same frames over sockets to a remote worker; --backend=replica-tcp
-// serves every shard through an ordered seed list of worker replicas with
-// background health probing — same requests, same bit-identical
-// responses, four failure domains. The whole serving tier is described by
-// one BackendConfig (sim/backend_config.hpp); this file only parses flags
-// into it. --wire={text,bin,auto} pins or negotiates the encoding per
-// worker connection (default auto: offer binary, fall back to text).
+// shard and speaks the wire protocol over a socketpair;
+// --backend=replica-tcp speaks the same frames over TCP to an ordered seed
+// list of worker replicas with background health probing — same requests,
+// same bit-identical responses, three failure domains. The whole serving
+// tier is described by one BackendConfig (sim/backend_config.hpp); this
+// file only parses flags into it.
 //
 // Build & run:  cmake --build build &&
 //               ./build/fusion_service [--backend=subprocess] [--shards=N]
 //
-// TCP walkthrough (two terminals, or two machines):
+// Remote-shard walkthrough (two terminals, or two machines):
 //   host A$ ./build/ffsm_shard_worker --listen 7001
 //   listening 7001
-//   host B$ ./build/fusion_service --backend=tcp --connect hostA:7001
+//   host B$ ./build/fusion_service --backend=replica-tcp --connect hostA:7001
 // Every shard opens its own connection to that worker; kill the worker
 // mid-run and the cluster re-queues, reconnects and re-serves once a
 // listener is back.
@@ -111,13 +109,6 @@ bool parse_cli(int argc, char** argv, CliOptions& cli) {
       if (!ffsm::parse_backend_kind(arg.substr(std::strlen("--backend=")),
                                     cli.backend.kind))
         return false;
-    } else if (arg.rfind("--wire=", 0) == 0) {
-      // Strict: "--wire=binary" is a typo, not a silent default.
-      if (!ffsm::parse_wire_mode(arg.substr(std::strlen("--wire=")),
-                                 cli.backend.wire))
-        return false;
-    } else if (arg == "--wire" && i + 1 < argc) {
-      if (!ffsm::parse_wire_mode(argv[++i], cli.backend.wire)) return false;
     } else if (arg.rfind("--connect=", 0) == 0) {
       // Strict parse (net::parse_host_port_list): "hostA:70o1" must be
       // rejected, not read as port 70, and "a:1,a:1" or a trailing comma
@@ -157,16 +148,13 @@ bool parse_cli(int argc, char** argv, CliOptions& cli) {
   if (detail != nullptr) std::fprintf(stderr, "%s: %s\n", argv0, detail);
   std::fprintf(
       stderr,
-      "usage: %s [--backend={inprocess,subprocess,tcp,replica-tcp}] "
-      "[--connect host:port[,host:port...]] [--wire={text,bin,auto}] "
+      "usage: %s [--backend={inprocess,subprocess,replica-tcp}] "
+      "[--connect host:port[,host:port...]] "
       "[--shards=N] [--trace-out=trace.json] [--metrics-port=N] "
       "[--metrics-linger-ms=N]\n"
-      "  --backend=tcp requires --connect with one worker (a running "
-      "`ffsm_shard_worker --listen <port>`)\n"
       "  --backend=replica-tcp requires --connect with the worker replica "
-      "seed list, priority order\n"
-      "  --wire: encoding negotiation stance per worker connection "
-      "(default auto: offer binary, fall back to text)\n",
+      "seed list, priority order (each a running `ffsm_shard_worker "
+      "--listen <port>`; one endpoint is a plain remote worker)\n",
       argv0);
   std::exit(2);
 }
@@ -215,8 +203,8 @@ int main(int argc, char** argv) {
     usage(argv[0], error.what());
   }
   FusionCluster cluster(options);
-  std::printf("serving backend: %s (%zu shards, wire %s)\n", backend_name,
-              cluster.shard_count(), wire_mode_name(cli.backend.wire));
+  std::printf("serving backend: %s (%zu shards)\n", backend_name,
+              cluster.shard_count());
   std::optional<net::ExpositionServer> metrics_server;
   if (cli.metrics) {
     metrics_server.emplace(
@@ -242,9 +230,6 @@ int main(int argc, char** argv) {
     std::printf("metrics: http://127.0.0.1:%u/metrics (verdict: /health)\n",
                 static_cast<unsigned>(metrics_server->port()));
   }
-  if (cli.backend.kind == BackendConfig::Kind::kTcp)
-    std::printf("remote worker: %s (every shard on its own connection)\n",
-                net::to_string(cli.backend.endpoints[0]).c_str());
   if (cli.backend.kind == BackendConfig::Kind::kReplica) {
     std::printf("replica seed list (priority order, health-probed):");
     for (const net::Endpoint& endpoint : cli.backend.endpoints)

@@ -70,4 +70,3 @@
 #include "sim/server.hpp"
 #include "sim/subprocess_backend.hpp"
 #include "sim/system.hpp"
-#include "sim/tcp_backend.hpp"

@@ -3,12 +3,14 @@
 //
 // A HealthMonitor owns a background prober thread that cycles through its
 // watched endpoints, runs one request/reply probe exchange against each
-// (connect + "ping" + "pong" by default — the shard worker's ping
-// handler), and publishes per-endpoint state: up/down verdict, last-probe
-// latency, and failure counters. Probes are deadline-bounded end to end
-// (net::Deadline reads), so a half-open or wedged endpoint fails its
-// probe in milliseconds instead of hanging the prober on a read that TCP
-// keepalive would take minutes to break.
+// (connect + "ping" + "pong" by default), and publishes per-endpoint
+// state: up/down verdict, last-probe latency, and failure counters. The
+// default probe is the shard worker's one non-frame line: a connection
+// that opens with a bare `ping` instead of the wire hello is answered
+// `pong` and closed. Probes are deadline-bounded end to end (net::Deadline
+// reads), so a half-open or wedged endpoint fails its probe in
+// milliseconds instead of hanging the prober on a read that TCP keepalive
+// would take minutes to break.
 //
 // Consumers (sim::ReplicaBackend) read the published state to order
 // failover candidates and to notice a higher-priority replica coming
@@ -16,9 +18,9 @@
 // only deprioritize an endpoint, never exclude it — the monitor is an
 // optimization of *where to try first*, not a gate on availability.
 //
-// Layering: net knows transport and line framing only. The probe
+// Layering: net knows transport and line reads only. The probe
 // request/reply strings are options (defaulting to the worker's
-// ping/pong), so this header stays ignorant of sim's wire protocol.
+// ping/pong), so this header stays ignorant of sim's wire frames.
 #pragma once
 
 #include <chrono>

@@ -1,16 +1,16 @@
-// Line/frame framing over a byte stream.
+// Buffered reads and full-buffer sends over a byte stream.
 //
-// The wire protocol (sim/messages.hpp) is line-oriented: directive lines,
-// and multi-line frames closed by a lone `end` line. LineChannel is the
-// transport half of that — buffered line reads and full-buffer sends over
-// either an owned Socket (TCP connection, socketpair) or a borrowed
-// read/write fd pair (the worker's stdin/stdout bridge). It knows frame
-// *shape* (a frame ends at `end`), never frame *content*; decoding stays in
-// sim/messages.
+// The wire protocol (sim/messages.hpp) opens every connection with one
+// text line each way and then speaks length-prefixed binary frames.
+// LineChannel is the transport half of that — line reads for the hello
+// (and the health probe's ping), exact-length reads for frames, and
+// full-buffer sends — over either an owned Socket (TCP connection,
+// socketpair) or a borrowed read/write fd pair (the worker's stdin/stdout
+// bridge). It never looks inside a frame; decoding stays in sim/messages.
 //
-// All failures throw NetError: a clean EOF between lines is the one
-// non-error outcome (read_line returns false), EOF inside a frame is a
-// torn message and throws.
+// All failures throw NetError: a clean EOF at a line or frame boundary is
+// the one non-error outcome (read_line / read_exact return false), EOF
+// inside a line or a frame is a torn message and throws.
 #pragma once
 
 #include <string>
@@ -94,8 +94,7 @@ class LineChannel {
   /// Deadline-bounded read_line: additionally throws NetError once
   /// `deadline` passes with the line still incomplete — the opt-in for
   /// reads that must fail in bounded time against a silent or half-open
-  /// peer (health probes, handshake frames); already-buffered lines
-  /// return regardless.
+  /// peer (health probes); already-buffered lines return regardless.
   bool read_line(std::string& line, Deadline deadline);
 
   /// read_line that treats EOF as an error; `context` names the exchange
@@ -104,32 +103,17 @@ class LineChannel {
   [[nodiscard]] std::string expect_line(const char* context,
                                         Deadline deadline);
 
-  /// Reads a full frame — `first_line` plus every following line up to and
-  /// including the lone `end` terminator — returning it with trailing
-  /// newlines restored, ready for sim/messages decode. Throws NetError on
-  /// EOF inside the frame; the deadline overload bounds the whole frame,
-  /// not each line.
-  [[nodiscard]] std::string read_frame(std::string first_line,
-                                       const char* context);
-  [[nodiscard]] std::string read_frame(std::string first_line,
-                                       const char* context,
-                                       Deadline deadline);
-
-  /// Reads exactly `count` bytes into `dst` (the binary framing's header
-  /// and payload reads). Returns false on clean EOF before the first
-  /// byte; EOF mid-read is a torn message and throws NetError, as do read
-  /// errors. Already-buffered bytes (e.g. what followed a negotiation
-  /// reply line) are consumed first. The deadline overload additionally
-  /// throws NetError once `deadline` passes with bytes still missing.
+  /// Reads exactly `count` bytes into `dst` — the wire's header and
+  /// payload reads. Returns false on clean EOF before the first byte; EOF
+  /// mid-read is a torn message and throws NetError, as do read errors.
+  /// Already-buffered bytes (e.g. what followed the hello line) are
+  /// consumed first. The deadline overload additionally throws NetError
+  /// once `deadline` passes with bytes still missing. A failed read does
+  /// not resume: the bytes it already got stay in `dst` and are gone from
+  /// the channel, so the stream is mid-frame and the caller must tear the
+  /// connection down (the worker does on that NetError).
   bool read_exact(char* dst, std::size_t count);
   bool read_exact(char* dst, std::size_t count, Deadline deadline);
-
-  /// Pushes bytes back to the front of the read buffer — the negotiation
-  /// peek: a worker reads the first line of a connection, and when it is
-  /// not a hello, unreads it for the codec loop to consume.
-  void unread(std::string_view bytes) {
-    buffer_.insert(0, bytes.data(), bytes.size());
-  }
 
  private:
   bool read_exact_until(char* dst, std::size_t count,
@@ -137,14 +121,11 @@ class LineChannel {
   bool read_line_until(std::string& line, const Deadline* deadline);
   [[nodiscard]] std::string expect_line_until(const char* context,
                                               const Deadline* deadline);
-  [[nodiscard]] std::string read_frame_until(std::string first_line,
-                                             const char* context,
-                                             const Deadline* deadline);
 
   Socket owned_;
   int read_fd_ = -1;
   int write_fd_ = -1;
-  std::string buffer_;  // bytes received but not yet returned as lines
+  std::string buffer_;  // bytes received but not yet returned
 };
 
 }  // namespace ffsm::net

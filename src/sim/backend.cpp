@@ -87,17 +87,13 @@ std::vector<Frame> serve_frames(const std::string& key, std::uint64_t parent,
                                 std::span<const WireRequest> requests) {
   std::vector<Frame> frames;
   frames.reserve(requests.size() + 1);
-  Frame& serve = frames.emplace_back();
-  serve.type = FrameType::kServe;
+  Frame& serve = frames.emplace_back(FrameType::kServe);
   serve.key = key;
   serve.count = requests.size();
   serve.parent = parent;
   serve.warm = warm;
-  for (const WireRequest& request : requests) {
-    Frame& frame = frames.emplace_back();
-    frame.type = FrameType::kRequest;
-    frame.request = request;
-  }
+  for (const WireRequest& request : requests)
+    frames.emplace_back(FrameType::kRequest).request = request;
   return frames;
 }
 
@@ -122,7 +118,6 @@ void QueuedWireBackend::serve_round(
     const std::shared_ptr<WireConversation>& conversation,
     std::span<Batch* const> batches, std::size_t window, obs::Obs* obs) {
   window = std::max<std::size_t>(1, window);
-  const bool multiplexed = conversation->multiplexed();
   for (;;) {
     // One wave: the next window of every batch still being served. The
     // window bounds each batch's request frames on the wire before its
@@ -133,55 +128,49 @@ void QueuedWireBackend::serve_round(
       if (!batch->finished && wave.size() < kMaxPipelinedBatches)
         wave.push_back(batch);
     if (wave.empty()) return;
-    const std::size_t depth = multiplexed ? wave.size() : 1;
-    for (std::size_t start = 0; start < wave.size(); start += depth) {
-      const std::size_t n = std::min(depth, wave.size() - start);
-      if (obs != nullptr) obs->record("wire.pipeline_depth", n);
-      std::vector<WireConversation::Exchange> exchanges;
-      std::vector<ServeReply> replies;
-      for (std::size_t k = 0; k < n; ++k) {
-        const Batch& batch = *wave[start + k];
-        const std::size_t count =
-            std::min(window, batch.requests.size() - batch.served.size());
-        // Only the window that completes the batch may bring a snapshot.
-        const bool last = batch.served.size() + count == batch.requests.size();
-        exchanges.push_back(WireConversation::open(conversation));
-        // Trace stitching: the top's cluster.serve_top becomes the parent
-        // of the worker's gen.* spans for this window.
-        exchanges.back().send(serve_frames(
-            batch.drain->key, batch.drain->obs_parent, last,
-            std::span(batch.requests).subspan(batch.served.size(), count)));
-        replies.emplace_back(count, last);
+    if (obs != nullptr) obs->record("wire.pipeline_depth", wave.size());
+    std::vector<WireConversation::Exchange> exchanges;
+    std::vector<ServeReply> replies;
+    for (const Batch* batch : wave) {
+      const std::size_t count =
+          std::min(window, batch->requests.size() - batch->served.size());
+      // Only the window that completes the batch may bring a snapshot.
+      const bool last = batch->served.size() + count == batch->requests.size();
+      exchanges.push_back(WireConversation::open(conversation));
+      // Trace stitching: the top's cluster.serve_top becomes the parent of
+      // the worker's gen.* spans for this window.
+      exchanges.back().send(serve_frames(
+          batch->drain->key, batch->drain->obs_parent, last,
+          std::span(batch->requests).subspan(batch->served.size(), count)));
+      replies.emplace_back(count, last);
+    }
+    for (std::size_t k = 0; k < wave.size(); ++k) {
+      try {
+        while (!replies[k].accept(exchanges[k].receive())) {
+        }
+      } catch (const net::NetError&) {
+        throw;
+      } catch (const ContractViolation& error) {
+        conversation->poison(error.what());
+        throw;
       }
-      for (std::size_t k = 0; k < n; ++k) {
-        try {
-          while (!replies[k].accept(exchanges[k].receive())) {
-          }
-        } catch (const net::NetError&) {
-          throw;
-        } catch (const ContractViolation& error) {
-          conversation->poison(error.what());
-          throw;
-        }
-        Batch& batch = *wave[start + k];
-        if (const auto& failure = replies[k].failure()) {
-          // The worker is alive and in sync — the batch itself failed (the
-          // analogue of generate_fusion_batch throwing in-process). Its
-          // requests stay queued for the cluster's retry path.
-          batch.finished = true;
-          batch.drain->error = std::make_exception_ptr(ContractViolation(
-              "worker failed to serve '" + batch.drain->key +
-              "': " + *failure));
-          continue;
-        }
-        for (FusionResponse& response : replies[k].responses)
-          batch.served.push_back(std::move(response));
-        if (replies[k].snapshot) {
-          batch.snapshot = std::move(replies[k].snapshot);
-          if (obs != nullptr) obs->count("wire.warm_snapshot");
-        }
-        batch.finished = batch.served.size() == batch.requests.size();
+      Batch& batch = *wave[k];
+      if (const auto& failure = replies[k].failure()) {
+        // The worker is alive and in sync — the batch itself failed (the
+        // analogue of generate_fusion_batch throwing in-process). Its
+        // requests stay queued for the cluster's retry path.
+        batch.finished = true;
+        batch.drain->error = std::make_exception_ptr(ContractViolation(
+            "worker failed to serve '" + batch.drain->key + "': " + *failure));
+        continue;
       }
+      for (FusionResponse& response : replies[k].responses)
+        batch.served.push_back(std::move(response));
+      if (replies[k].snapshot) {
+        batch.snapshot = std::move(replies[k].snapshot);
+        if (obs != nullptr) obs->count("wire.warm_snapshot");
+      }
+      batch.finished = batch.served.size() == batch.requests.size();
     }
   }
 }
@@ -217,23 +206,54 @@ const QueuedWireBackend::TopState& QueuedWireBackend::top_of(
   return it->second;
 }
 
-std::string QueuedWireBackend::error_detail(std::istringstream& words) {
-  std::string token;
-  std::string detail = "unknown error";
-  if (words >> token && token != "%") {
-    try {
-      detail = unescape_token(token);
-    } catch (const ContractViolation&) {
-      detail = token;  // garbled escape: better raw than masked
-    }
-  }
-  return detail;
+Frame QueuedWireBackend::exchange(
+    const std::shared_ptr<WireConversation>& conversation, Frame command) {
+  WireConversation::Exchange exchange = WireConversation::open(conversation);
+  exchange.send(std::move(command));
+  return exchange.receive();
 }
 
-std::string QueuedWireBackend::describe_reply(const Frame& reply) {
-  if (reply.type == FrameType::kError) return reply.text;
-  return std::string("unexpected '") + frame_type_name(reply.type) +
-         "' reply";
+void QueuedWireBackend::expect_ok(
+    const std::shared_ptr<WireConversation>& conversation, Frame command,
+    const std::string& what) {
+  const Frame reply = exchange(conversation, std::move(command));
+  if (reply.type == FrameType::kOk) return;
+  if (reply.type == FrameType::kError)
+    throw ContractViolation(what + ": " + reply.text);
+  conversation->poison("unexpected reply");
+  throw ContractViolation(what + ": unexpected '" +
+                          frame_type_name(reply.type) + "' reply");
+}
+
+void QueuedWireBackend::register_top_locked(
+    const std::shared_ptr<WireConversation>& conversation,
+    const std::string& key, const std::string& peer) {
+  Frame top(FrameType::kTop);
+  top.key = key;
+  top.text = top_of(key).machine_text;
+  expect_ok(conversation, std::move(top),
+            "worker " + peer + " rejected top '" + key + "'");
+}
+
+void QueuedWireBackend::handshake_locked(
+    const std::shared_ptr<WireConversation>& conversation,
+    const ShardServiceConfig& config, const std::string& peer) {
+  Frame configure(FrameType::kConfig);
+  configure.config = config;
+  expect_ok(
+      conversation, std::move(configure),
+      "worker " + peer + " rejected config (is it an ffsm_shard_worker?)");
+  for (const std::string& key : top_order_)
+    register_top_locked(conversation, key, peer);
+  for (const std::string& key : top_order_) {
+    const TopState& top = top_of(key);
+    if (top.warm.empty()) continue;
+    Frame warm(FrameType::kCacheWarm);
+    warm.key = key;
+    warm.entries = top.warm;
+    expect_ok(conversation, std::move(warm),
+              "worker " + peer + " rejected warm cache for '" + key + "'");
+  }
 }
 
 void QueuedWireBackend::add_top(const std::string& key, const Dfsm& top) {

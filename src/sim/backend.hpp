@@ -3,8 +3,8 @@
 // A cluster shard is no longer a set of concrete FusionService objects —
 // it is a ShardBackend: per-top serving queues behind a message boundary.
 // The cluster routes and re-queues; the backend owns the machines, the
-// queues accepted from the cluster, and the closure caches. Two backends
-// ship today:
+// queues accepted from the cluster, and the closure caches. Three backends
+// ship:
 //
 //   InProcessBackend  — the pre-refactor behaviour, bit-identical: one
 //                       FusionService per registered top in this address
@@ -12,6 +12,10 @@
 //   SubprocessBackend — one worker process per shard speaking the wire
 //                       protocol (sim/messages.hpp) over a socketpair;
 //                       see sim/subprocess_backend.hpp.
+//   ReplicaBackend    — the same wire over TCP to an ordered seed list of
+//                       `ffsm_shard_worker --listen` replicas (one endpoint
+//                       is a plain remote shard), with lossless failover;
+//                       see sim/replica_backend.hpp.
 //
 // Contract shared by all backends: submit() queues, drain_tops() serves
 // everything queued for a set of tops — each top's backlog as one batch,
@@ -30,7 +34,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -113,12 +116,14 @@ class ShardBackend {
 };
 
 /// Shared parent-side half of every wire-protocol backend (subprocess,
-/// TCP): the registered tops with their self-contained machine texts, the
-/// per-top request queues that make worker loss non-lossy, ticket
-/// assignment, and caller-side validation. Subclasses own the transport —
-/// drain/stats/shutdown — plus one hook: register_added_top_locked, called
-/// under the lock by add_top so a live transport learns new tops
-/// immediately (and can veto them before the entry commits).
+/// replica): the registered tops with their self-contained machine texts,
+/// the per-top request queues that make worker loss non-lossy, ticket
+/// assignment, caller-side validation, and the handshake and serve round
+/// every connection runs. Subclasses own the transport — how a connection
+/// is made and replaced, drain/stats/shutdown — plus one hook:
+/// register_added_top_locked, called under the lock by add_top so a live
+/// transport learns new tops immediately (and can veto them before the
+/// entry commits).
 class QueuedWireBackend : public ShardBackend {
  public:
   void add_top(const std::string& key, const Dfsm& top) final;
@@ -165,13 +170,10 @@ class QueuedWireBackend : public ShardBackend {
       std::span<TopDrain* const> tops);
 
   /// Serves `batches` on `conversation` in windows of at most `window`
-  /// requests, one pipelined wave of windows per round trip. On the
-  /// binary wire a wave puts the next window of every unfinished batch on
-  /// the wire (one exchange each) before it awaits any reply; the text
-  /// worker serves inline, so there every window is its own round trip —
-  /// a pipelined text write could fill both socket buffers and deadlock.
-  /// The window that completes a batch allows the worker to attach the
-  /// top's warm snapshot.
+  /// requests, one pipelined wave of windows per round trip: a wave puts
+  /// the next window of every unfinished batch on the wire (one exchange
+  /// each) before it awaits any reply. The window that completes a batch
+  /// allows the worker to attach the top's warm snapshot.
   /// A batch the worker answers with an error is finished with
   /// drain->error set. Throws NetError when the connection dies, and
   /// ContractViolation after poisoning the conversation when a reply is
@@ -188,6 +190,30 @@ class QueuedWireBackend : public ShardBackend {
   /// snapshot they carried as their top's. Requires mutex_.
   void deliver_locked(std::span<Batch* const> round);
 
+  /// The handshake every fresh connection runs before it serves, as
+  /// exchanges on `conversation` (whose hello already ran): config, every
+  /// registered top in registration order — so a respawned worker or a
+  /// failover replica rebuilds the exact same services — then each top's
+  /// last warm snapshot, so it starts with its predecessor's hot set
+  /// instead of stone-cold. Requires mutex_. Throws NetError when the
+  /// connection dies, and ContractViolation when the worker answers
+  /// anything but ok; `peer` names the worker in that message.
+  void handshake_locked(const std::shared_ptr<WireConversation>& conversation,
+                        const ShardServiceConfig& config,
+                        const std::string& peer);
+
+  /// Registers `key`'s top with the worker behind `conversation`: one
+  /// exchange, answered ok. Requires mutex_; throws like handshake_locked.
+  void register_top_locked(
+      const std::shared_ptr<WireConversation>& conversation,
+      const std::string& key, const std::string& peer);
+
+  /// One command, one reply, on a fresh exchange of `conversation`.
+  /// Throws NetError when the connection dies, and ContractViolation
+  /// (after poisoning the conversation) when the reply is garbled.
+  [[nodiscard]] static Frame exchange(
+      const std::shared_ptr<WireConversation>& conversation, Frame command);
+
   [[nodiscard]] TopState& top_of(const std::string& key);
   [[nodiscard]] const TopState& top_of(const std::string& key) const;
 
@@ -198,20 +224,19 @@ class QueuedWireBackend : public ShardBackend {
   /// handshake registers every recorded top anyway.
   virtual void register_added_top_locked(const std::string& key) = 0;
 
-  /// Decodes the detail token of an `error <msg>` reply line (the
-  /// directive already consumed from `words`).
-  [[nodiscard]] static std::string error_detail(std::istringstream& words);
-
-  /// Human-readable tail for a reply frame that should have been `ok` (or
-  /// another expected type): the error detail for kError, the frame type
-  /// name otherwise.
-  [[nodiscard]] static std::string describe_reply(const Frame& reply);
-
   /// Serializes the wire conversation and guards tops_/top_order_/queues.
   mutable std::mutex mutex_;
   std::unordered_map<std::string, TopState> tops_;
   std::vector<std::string> top_order_;  // registration order for replays
   std::uint64_t next_ticket_ = 1;
+
+ private:
+  /// exchange() for a command whose only good answer is ok: any other
+  /// reply throws ContractViolation naming `what`, and a reply that is not
+  /// even an error poisons the conversation first (the stream is no
+  /// longer trustworthy; after an error it still is).
+  static void expect_ok(const std::shared_ptr<WireConversation>& conversation,
+                        Frame command, const std::string& what);
 };
 
 /// The default backend: the pre-refactor in-address-space behaviour, one

@@ -4,7 +4,6 @@
 
 #include "sim/replica_backend.hpp"
 #include "sim/subprocess_backend.hpp"
-#include "sim/tcp_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace ffsm {
@@ -15,8 +14,6 @@ const char* backend_kind_name(BackendConfig::Kind kind) {
       return "inprocess";
     case BackendConfig::Kind::kSubprocess:
       return "subprocess";
-    case BackendConfig::Kind::kTcp:
-      return "tcp";
     case BackendConfig::Kind::kReplica:
       return "replica-tcp";
   }
@@ -28,8 +25,6 @@ bool parse_backend_kind(std::string_view name, BackendConfig::Kind& out) {
     out = BackendConfig::Kind::kInProcess;
   } else if (name == "subprocess") {
     out = BackendConfig::Kind::kSubprocess;
-  } else if (name == "tcp") {
-    out = BackendConfig::Kind::kTcp;
   } else if (name == "replica-tcp") {
     out = BackendConfig::Kind::kReplica;
   } else {
@@ -41,16 +36,10 @@ bool parse_backend_kind(std::string_view name, BackendConfig::Kind& out) {
 std::function<std::unique_ptr<ShardBackend>(std::size_t)>
 make_backend_factory(BackendConfig config) {
   const char* const name = backend_kind_name(config.kind);
-  const bool connecting = config.kind == BackendConfig::Kind::kTcp ||
-                          config.kind == BackendConfig::Kind::kReplica;
-  if (!connecting && !config.endpoints.empty())
+  if (config.kind != BackendConfig::Kind::kReplica &&
+      !config.endpoints.empty())
     throw ContractViolation(std::string("BackendConfig: backend '") + name +
                             "' takes no endpoints");
-  if (config.kind == BackendConfig::Kind::kTcp &&
-      config.endpoints.size() != 1)
-    throw ContractViolation(
-        "BackendConfig: backend 'tcp' takes exactly one endpoint, got " +
-        std::to_string(config.endpoints.size()));
   if (config.kind == BackendConfig::Kind::kReplica &&
       config.endpoints.empty())
     throw ContractViolation(
@@ -70,33 +59,14 @@ make_backend_factory(BackendConfig config) {
         SubprocessBackendOptions options;
         options.worker_path = config.worker_path;
         options.config = config.service;
-        options.wire = config.wire;
         options.obs = config.obs;
         return std::make_unique<SubprocessBackend>(std::move(options));
-      };
-    case BackendConfig::Kind::kTcp:
-      return [config = std::move(config)](std::size_t) {
-        TcpBackendOptions options;
-        options.host = config.endpoints[0].host;
-        options.port = config.endpoints[0].port;
-        options.config = config.service;
-        options.wire = config.wire;
-        options.connect_timeout = config.connect_timeout;
-        options.connect_retry = config.connect_retry;
-        options.serve_retry = config.serve_retry;
-        options.serve_window = config.serve_window;
-        options.keepalive_idle_s = config.keepalive_idle_s;
-        options.keepalive_interval_s = config.keepalive_interval_s;
-        options.keepalive_probes = config.keepalive_probes;
-        options.obs = config.obs;
-        return std::make_unique<TcpBackend>(std::move(options));
       };
     case BackendConfig::Kind::kReplica:
       return [config = std::move(config)](std::size_t) {
         ReplicaBackendOptions options;
         options.endpoints = config.endpoints;
         options.config = config.service;
-        options.wire = config.wire;
         options.connect_timeout = config.connect_timeout;
         options.connect_retry = config.connect_retry;
         options.serve_retry = config.serve_retry;

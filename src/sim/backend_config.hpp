@@ -2,8 +2,8 @@
 //
 // Before this header every backend had its own options struct and every
 // embedder (examples/fusion_service, benches, tests) special-cased each
-// kind at the FusionClusterOptions::backend_factory call site — four
-// lambdas, each naming one backend's options type and copying the shared
+// kind at the FusionClusterOptions::backend_factory call site — one lambda
+// per kind, each naming one backend's options type and copying the shared
 // knobs by hand. A BackendConfig names the kind plus the union of the
 // knobs once; make_backend_factory() validates the shape (endpoint counts
 // per kind) and returns the factory the cluster consumes. The per-backend
@@ -29,15 +29,16 @@ namespace ffsm {
 struct BackendConfig {
   /// Where a shard's FusionServices live. kInProcess: this address space
   /// (the cluster's built-in default). kSubprocess: one ffsm_shard_worker
-  /// child per shard over a stdio socketpair. kTcp: one remote worker,
-  /// every shard on its own connection. kReplica: an ordered seed list of
-  /// worker replicas per shard with lossless failover.
-  enum class Kind { kInProcess, kSubprocess, kTcp, kReplica };
+  /// child per shard over a stdio socketpair. kReplica: an ordered seed
+  /// list of remote worker replicas per shard with lossless failover —
+  /// one endpoint is a plain remote worker, every shard on its own
+  /// connection.
+  enum class Kind { kInProcess, kSubprocess, kReplica };
 
   Kind kind = Kind::kInProcess;
   /// Worker endpoints. Shape is validated by make_backend_factory():
-  /// kTcp takes exactly one, kReplica one or more (priority order),
-  /// kInProcess and kSubprocess none.
+  /// kReplica takes one or more (priority order), kInProcess and
+  /// kSubprocess none.
   std::vector<net::Endpoint> endpoints;
   /// Worker binary for kSubprocess; empty = discovery rules
   /// (discover_worker_path). Ignored by the connecting kinds.
@@ -45,13 +46,8 @@ struct BackendConfig {
   /// Wire-safe service options shipped to workers at every handshake
   /// (and used verbatim by the in-process services).
   ShardServiceConfig service = {};
-  /// Negotiation stance per connection/spawn (see sim/messages.hpp):
-  /// kAuto offers the binary framing and falls back to text against an
-  /// old worker; kText pins the pre-negotiation wire; kBinary requires
-  /// the binary framing. Ignored by kInProcess.
-  WireMode wire = WireMode::kAuto;
-  /// Connection knobs, meaningful for kTcp/kReplica (defaults match the
-  /// per-backend option structs; see ReplicaBackendOptions for semantics).
+  /// Connection knobs, meaningful for kReplica (defaults match
+  /// ReplicaBackendOptions; see there for semantics).
   std::chrono::milliseconds connect_timeout{2000};
   net::RetryPolicy connect_retry = {};
   net::RetryPolicy serve_retry = {2, std::chrono::milliseconds(50),
@@ -71,8 +67,7 @@ struct BackendConfig {
   obs::Obs* obs = nullptr;
 };
 
-/// CLI name of a backend kind: "inprocess", "subprocess", "tcp",
-/// "replica-tcp".
+/// CLI name of a backend kind: "inprocess", "subprocess", "replica-tcp".
 [[nodiscard]] const char* backend_kind_name(BackendConfig::Kind kind);
 
 /// Strict inverse of backend_kind_name: false on any other spelling.
@@ -83,8 +78,7 @@ struct BackendConfig {
 /// FusionClusterOptions::backend_factory. kInProcess yields an empty
 /// function (the cluster builds its default backend). Throws
 /// ContractViolation on a shape violation: endpoints where none belong,
-/// a kTcp endpoint count other than one, an empty kReplica seed list, or
-/// a zero port anywhere.
+/// an empty kReplica seed list, or a zero port anywhere.
 [[nodiscard]] std::function<std::unique_ptr<ShardBackend>(std::size_t)>
 make_backend_factory(BackendConfig config);
 

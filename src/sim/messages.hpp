@@ -2,35 +2,14 @@
 //
 // A shard of the FusionCluster is a backend behind a message boundary (see
 // sim/backend.hpp); this header defines the messages that cross it and
-// their exact round-tripping text codec. Frames are line-oriented in the
-// fsm/serialize style — a directive line opens the frame, key/value lines
-// follow, and a lone `end` line closes it — so machines (to_text, which is
-// self-contained via its alphabet header), requests, responses, stats and
-// configs all travel the same way over any byte stream.
-//
-//   request <ticket> <client>             response <ticket> <client>
-//   f <f>                                 fusion <b0> <b1> ...   (per machine)
-//   policy <fewest_blocks|...>            stats <8 counters, fixed order>
-//   original <b0> <b1> ...  (per orig)    end
-//   end
-//
-//   stats                                 config
-//   requests_submitted <n>                parallel <0|1>
-//   ... (one counter per line)            threads <n>
-//   end                                   cache_policy <lru|epoch|...>
-//                                         cache_capacity <n>
-//                                         end
-//
-// Tokens that may contain arbitrary bytes (client names, top keys) are
-// percent-escaped (escape_token); partitions travel as their normalized
-// block assignments, so decode(encode(x)) == x and, for canonical frames,
-// encode(decode(text)) == text byte for byte.
-//
-// Since PR 6 the text protocol above is one of two interchangeable
-// encodings behind the WireCodec interface. The negotiated alternative is
-// a length-prefixed binary framing (BinaryWireCodec) whose frames carry an
-// exchange id, letting several serve exchanges interleave on one
-// connection. See the WireCodec section below and README "Wire format".
+// their one encoding. A connection opens with a one-line text hello each
+// way (see "negotiation" below); everything after it is length-prefixed
+// binary frames (WireCodec), each carrying an exchange id so several
+// exchanges interleave on one connection. Machines travel inside the kTop
+// frame as self-contained fsm/serialize text (alphabet header included),
+// and partitions as their normalized block assignments, so
+// decode(encode(x)) == x and encode(decode(bytes)) == bytes byte for byte.
+// See README "Wire format".
 #pragma once
 
 #include <chrono>
@@ -59,11 +38,10 @@ struct FusionResponse {
 
 // The single source of truth for the ServiceStats counter set: one X(name,
 // aggregation) row per counter, in wire order. Everything that enumerates
-// the counters expands this table — the text codec's encode/decode lines,
-// the binary codec's fixed-order u64 list, the duplicate/missing seen-bit
-// bookkeeping, and FusionCluster::stats() aggregation — so adding a counter
-// is one row here plus one struct field below (a mismatch between the two
-// fails to compile). Appending a row changes the negotiated payload shape:
+// the counters expands this table — the codec's fixed-order u64 list and
+// FusionCluster::stats() aggregation — so adding a counter is one row here
+// plus one struct field below (a mismatch between the two fails to
+// compile). Appending a row changes the stats payload shape:
 // bump the hello version (kHelloVersion in messages.cpp).
 //
 // The second column is the cluster aggregation rule:
@@ -107,13 +85,13 @@ inline constexpr std::size_t kServiceStatsCounters = []() {
 /// cache under pressure does not masquerade as a cold workload
 /// (cache_hits + cache_cold_misses + cache_eviction_misses == lookups).
 /// The field set is mirrored by FFSM_SERVICE_STATS_COUNTERS above, which
-/// drives both codecs and the cluster aggregation.
+/// drives the codec and the cluster aggregation.
 struct ServiceStats {
   std::uint64_t requests_submitted = 0;
   std::uint64_t requests_served = 0;
   std::uint64_t batches_served = 0;
   /// Worker restarts this serving state survived: respawned processes
-  /// (SubprocessBackend), re-established connections (TcpBackend). Always
+  /// (SubprocessBackend), re-established connections (ReplicaBackend). Always
   /// 0 from the serving side itself — the backend that owns the restart
   /// policy fills it, since the restarted worker cannot count its own
   /// deaths.
@@ -158,63 +136,7 @@ struct WireRequest {
   FusionRequest request;
 };
 
-// ----------------------------------------------------- free-function codec
-//
-// Every decode throws ContractViolation on malformed input (unknown
-// directive, missing field, trailing garbage) — a truncated or corrupted
-// frame must fail loudly at the boundary, never produce a half-read
-// message.
-//
-// DEPRECATED: these free functions are thin wrappers over the *text*
-// encoding and are kept so existing callers compile unchanged. New code
-// should speak Frame through a WireCodec (below), which also supports the
-// negotiated binary framing; these wrappers will be removed once
-// out-of-tree callers have migrated.
-
-[[nodiscard]] std::string encode_request(const WireRequest& request);
-[[nodiscard]] WireRequest decode_request(std::string_view text);
-
-[[nodiscard]] std::string encode_response(const FusionResponse& response);
-[[nodiscard]] FusionResponse decode_response(std::string_view text);
-
-[[nodiscard]] std::string encode_stats(const ServiceStats& stats);
-[[nodiscard]] ServiceStats decode_stats(std::string_view text);
-
-[[nodiscard]] std::string encode_config(const ShardServiceConfig& config);
-[[nodiscard]] ShardServiceConfig decode_config(std::string_view text);
-
-// ----------------------------------------------------------------- tokens
-
-/// Percent-escapes a byte string into a whitespace-free token ('%', ASCII
-/// whitespace and control bytes become %XX; the empty string becomes the
-/// lone marker "%", which no escape of a non-empty string produces).
-[[nodiscard]] std::string escape_token(std::string_view raw);
-
-/// Inverse of escape_token; throws ContractViolation on malformed escapes.
-[[nodiscard]] std::string unescape_token(std::string_view token);
-
-/// Wire names of the enums (stable — they are protocol, not display).
-[[nodiscard]] const char* policy_name(DescentPolicy policy);
-[[nodiscard]] DescentPolicy policy_from_name(std::string_view name);
-[[nodiscard]] const char* cache_policy_name(CacheEvictionPolicy policy);
-[[nodiscard]] CacheEvictionPolicy cache_policy_from_name(
-    std::string_view name);
-
 // ------------------------------------------------------------- wire codec
-
-/// Which encoding a peer speaks (or is willing to negotiate).
-///   kAuto   — offer the binary framing, fall back to text when the peer
-///             does not negotiate (old workers). The default everywhere.
-///   kText   — speak the line-oriented text protocol, no hello at all;
-///             byte-identical to the pre-negotiation wire.
-///   kBinary — require the binary framing; a peer that cannot negotiate it
-///             fails the connection instead of falling back.
-enum class WireMode { kAuto, kText, kBinary };
-
-[[nodiscard]] const char* wire_mode_name(WireMode mode);
-/// Strict parse of "text" / "bin" / "auto" (the --wire flag values);
-/// returns false on anything else, leaving `out` untouched.
-[[nodiscard]] bool parse_wire_mode(std::string_view name, WireMode& out);
 
 /// Everything that crosses a backend boundary, as a tagged variant. One
 /// type for both directions: commands (kConfig, kTop, kServe + kRequest*,
@@ -261,18 +183,20 @@ enum class FrameType : std::uint8_t {
 /// read even at the default cache capacity.
 inline constexpr std::uint64_t kWarmSnapshotEntries = 64;
 
-/// Serve batches a binary-wire worker runs at once on one connection; at
-/// the bound its reader waits for one to finish before it reads on. A
-/// parent pipelining more batches than this in one wave would stall its
-/// own wave until replies it has not started reading come back.
+/// Serve batches a worker runs at once on one connection; at the bound its
+/// reader waits for one to finish before it reads on. A parent pipelining
+/// more batches than this in one wave would stall its own wave until
+/// replies it has not started reading come back.
 inline constexpr std::size_t kMaxServeBatchesInFlight = 64;
 
 /// One decoded wire frame. Which fields are meaningful depends on `type`
 /// (see FrameType); the rest stay default-constructed. `exchange` is the
-/// multiplexing tag of the binary framing — replies echo the exchange id
-/// of their command, so several exchanges can interleave on one
-/// connection. The text encoding cannot carry it (always 0).
+/// multiplexing tag — replies echo the exchange id of their command, so
+/// several exchanges can interleave on one connection.
 struct Frame {
+  Frame() = default;
+  explicit Frame(FrameType frame_type) : type(frame_type) {}
+
   FrameType type = FrameType::kOk;
   std::uint64_t exchange = 0;
   std::string key;           // kTop, kServe, kStatsQuery, kCacheWarm
@@ -295,7 +219,7 @@ struct Frame {
   obs::ObsSnapshot obs;      // kObs
 };
 
-/// Mark/restore bump allocator backing binary frame decode: the payload of
+/// Mark/restore bump allocator backing frame decode: the payload of
 /// every incoming frame is staged in one arena block (no per-frame buffer
 /// allocation in steady state — restore() keeps the memory) and parsed in
 /// place. Chunked so a mark survives growth; an allocation larger than the
@@ -328,24 +252,16 @@ class WireArena {
   std::size_t used_ = 0;     // bytes used in chunks_[current_]
 };
 
-/// One wire encoding: how a Frame becomes bytes and back. Both directions
+/// The wire encoding: how a Frame becomes bytes and back. Both directions
 /// of every backend (QueuedWireBackend subclasses parent-side, the shard
-/// worker on the other end) speak Frame through this interface and never
-/// touch encoding details. Implementations may keep decode scratch state
-/// (the binary codec's arena), so decode/read are non-const; one codec
-/// instance must not be shared by concurrent readers.
+/// worker on the other end) speak Frame through this class and never
+/// touch encoding details. Decoding stages payloads in the codec's arena,
+/// so decode/expect/read_command are non-const and one codec must not be
+/// shared by concurrent readers; encode is const and may be.
 class WireCodec {
  public:
-  virtual ~WireCodec() = default;
-
-  /// Stable wire name: "text" or "bin" (also the negotiation token).
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  /// Whether frames carry exchange ids (binary only) — the precondition
-  /// for interleaving exchanges on one connection.
-  [[nodiscard]] virtual bool multiplexed() const noexcept = 0;
-
   /// Appends `frame`'s wire bytes to `out`.
-  virtual void encode(const Frame& frame, std::string& out) const = 0;
+  void encode(const Frame& frame, std::string& out) const;
   [[nodiscard]] std::string encode(const Frame& frame) const {
     std::string out;
     encode(frame, out);
@@ -356,71 +272,62 @@ class WireCodec {
   /// input and trailing bytes both throw ContractViolation, as does any
   /// malformed content. (The unit-testable surface; transport reads below
   /// share its parsing.)
-  [[nodiscard]] virtual Frame decode(std::string_view bytes) = 0;
+  [[nodiscard]] Frame decode(std::string_view bytes);
 
   /// Reads one frame off the channel, blocking as long as it takes (the
   /// parent side: serve replies legitimately take minutes, TCP keepalive
   /// bounds a dead peer). EOF — even mid-frame — and transport errors
   /// throw NetError; malformed content throws ContractViolation with the
   /// stream position unknowable.
-  [[nodiscard]] virtual Frame expect(net::LineChannel& channel,
-                                     const char* context) = 0;
+  [[nodiscard]] Frame expect(net::LineChannel& channel, const char* context);
 
   /// Reads one command frame (the worker side): returns std::nullopt on
   /// clean EOF before the frame begins; once it has begun, the rest must
-  /// arrive within `frame_budget` or the read fails with NetError. A
-  /// ContractViolation means the frame was malformed; for the text codec
-  /// the line(s) were fully consumed and the stream is still in sync (the
-  /// error-reply-and-continue path old workers rely on); for the binary
-  /// codec the stream must be torn down.
-  [[nodiscard]] virtual std::optional<Frame> read_command(
-      net::LineChannel& channel, std::chrono::milliseconds frame_budget) = 0;
+  /// arrive within `frame_budget` or the read fails with NetError. Either
+  /// failure — NetError, or ContractViolation for a malformed frame —
+  /// leaves the stream mid-frame: tear the connection down.
+  [[nodiscard]] std::optional<Frame> read_command(
+      net::LineChannel& channel, std::chrono::milliseconds frame_budget);
+
+ private:
+  Frame read_payload(net::LineChannel& channel, const char* header_bytes,
+                     const net::Deadline* deadline);
+
+  WireArena arena_;
 };
 
-/// The codec for one negotiated wire: "bin" or "text".
+/// A heap-allocated codec. `binary` must be true — the binary framing is
+/// the only encoding; the flag predates the text codec's removal.
 [[nodiscard]] std::unique_ptr<WireCodec> make_wire_codec(bool binary);
 
 // ------------------------------------------------------------ negotiation
 //
-// A parent that wants the binary wire opens every connection with a hello
-// line — `hello <version> <offer>[,<offer>...]` — listing the encodings
-// it accepts, best first. A negotiating worker answers
-// `hello <version> <choice>` and both sides switch; a worker that
-// predates negotiation (or runs --wire=text) answers
-// `error unknown%20command...` like for any unknown directive and keeps
-// listening, so the parent falls back to text with the stream still in
-// sync. No hello means text, byte-identical to the old wire.
-//
-// The version is a single integer both sides must match exactly; it is
-// bumped whenever a negotiated payload changes shape in either encoding
-// (current: 7 — see kHelloVersion in messages.cpp for the history). A
-// worker seeing an unsupported version answers
-// `error unsupported%20hello%20version...`; the parent recognizes that
-// reply and fails the connection in every mode — no text fallback, since
-// the text payloads differ across versions too.
+// Every connection opens with one text line each way before any frame:
+// the parent sends `hello <version> bin`, the worker answers `hello
+// <version> bin`, and both switch to binary frames. The version is a
+// single integer both sides must match exactly; it is bumped whenever a
+// payload changes shape (current: 7 — see kHelloVersion in messages.cpp
+// for the history). A worker that cannot accept the opening line — another
+// version, no `bin` among the offers, or no hello at all — answers
+// `error <detail>` and closes, and the parent fails the connection with a
+// ContractViolation. The one other opening line a worker answers is a
+// bare `ping` (net::HealthMonitor's probe): `pong`, then close.
 
-/// The parent's opening line (trailing '\n' included). kText sends no
-/// hello — calling this with kText is a contract violation.
-[[nodiscard]] std::string client_hello(WireMode mode);
+/// The opening line (trailing '\n' included). The parent's offer and the
+/// worker's acceptance are the same line.
+[[nodiscard]] std::string wire_hello();
 
-/// Parses a worker-received `hello` line. Returns false when `line` is
-/// not a hello at all; throws ContractViolation on a hello with an
-/// unsupported version. Unknown offer tokens are ignored (future codecs
-/// degrade gracefully).
-[[nodiscard]] bool parse_client_hello(std::string_view line,
-                                      bool& offers_binary, bool& offers_text);
+/// Parses a worker-received opening line. Returns false when `line` is
+/// not a hello at all; throws ContractViolation on a hello the worker
+/// cannot accept (another version, or no `bin` offer). Unknown offer
+/// tokens are ignored.
+[[nodiscard]] bool parse_client_hello(std::string_view line);
 
-/// The worker's answer line for `binary` (trailing '\n' included).
-[[nodiscard]] std::string worker_hello(bool binary);
-
-/// Client-side negotiation on a fresh connection: sends the hello for
-/// `mode` (none for kText), reads the worker's answer, and returns the
-/// agreed codec. An `error` answer mentioning the hello means a version
-/// mismatch and throws in every mode; any other `error` means a
-/// non-negotiating worker: kAuto falls back to text, kBinary throws
-/// ContractViolation. Any other answer is a protocol violation (throws;
-/// the caller drops the connection).
-[[nodiscard]] std::unique_ptr<WireCodec> negotiate_wire(
-    net::LineChannel& channel, WireMode mode);
+/// The parent's half of the hello on a fresh connection: sends
+/// wire_hello() and reads the worker's answer. Returns once the worker
+/// agreed; any other answer — an `error` line included — throws
+/// ContractViolation, and EOF throws NetError. Either way the caller drops
+/// the connection.
+void negotiate_wire(net::LineChannel& channel);
 
 }  // namespace ffsm

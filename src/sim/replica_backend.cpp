@@ -1,22 +1,21 @@
 #include "sim/replica_backend.hpp"
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <numeric>
+#include <sstream>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "sim/subprocess_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace ffsm {
-namespace {
-
-Frame command_frame(FrameType type) {
-  Frame frame;
-  frame.type = type;
-  return frame;
-}
-
-}  // namespace
 
 ReplicaBackend::ReplicaBackend(ReplicaBackendOptions options)
     : options_(std::move(options)) {
@@ -79,54 +78,17 @@ void ReplicaBackend::connect_endpoint_locked(std::size_t replica) {
                             options_.keepalive_interval_s,
                             options_.keepalive_probes);
   net::LineChannel channel(std::move(socket));
-  // Negotiation first (the worker answers before any serving state
-  // exists), then the handshake in the agreed encoding. A listen-mode
-  // worker starts every connection with clean state, so the full
-  // handshake replays: config, then every top in registration order —
-  // which is why any replica serves bit-identically. NetError here routes
-  // to the next replica; a worker that *answers* but wrongly throws
-  // ContractViolation and is not routed around.
-  std::unique_ptr<WireCodec> codec = negotiate_wire(channel, options_.wire);
-  Frame config = command_frame(FrameType::kConfig);
-  config.config = options_.config;
-  channel.send(codec->encode(config));
-  const Frame config_reply = codec->expect(channel, "config");
-  if (config_reply.type != FrameType::kOk)
-    throw ContractViolation("ReplicaBackend: worker rejected config (is " +
-                            net::to_string(endpoint) +
-                            " an ffsm_shard_worker --listen?): " +
-                            describe_reply(config_reply));
-  for (const std::string& key : top_order_) {
-    Frame top = command_frame(FrameType::kTop);
-    top.key = key;
-    top.text = tops_.at(key).machine_text;
-    channel.send(codec->encode(top));
-    const Frame top_reply = codec->expect(channel, "top registration");
-    if (top_reply.type != FrameType::kOk)
-      throw ContractViolation("ReplicaBackend: worker at " +
-                              net::to_string(endpoint) + " rejected top '" +
-                              key + "': " + describe_reply(top_reply));
-  }
-  // Warm handoff: replay the last captured cache snapshots so a failover
-  // (or fail-back) target serves its first drain with the previous
-  // replica's hot set resident — same exchange discipline as the top
-  // replay above, still pre-conversation on the raw channel.
-  for (const std::string& key : top_order_) {
-    const TopState& top = tops_.at(key);
-    if (top.warm.empty()) continue;
-    Frame warm = command_frame(FrameType::kCacheWarm);
-    warm.key = key;
-    warm.entries = top.warm;
-    channel.send(codec->encode(warm));
-    const Frame warm_reply = codec->expect(channel, "warm cache replay");
-    if (warm_reply.type != FrameType::kOk)
-      throw ContractViolation("ReplicaBackend: worker at " +
-                              net::to_string(endpoint) +
-                              " rejected warm cache for '" + key +
-                              "': " + describe_reply(warm_reply));
-  }
-  conversation_ = std::make_shared<WireConversation>(
-      std::move(channel), std::move(codec), options_.obs);
+  // A listen-mode worker starts every connection with clean state, so the
+  // full handshake replays — which is why any replica serves
+  // bit-identically. NetError here routes to the next replica; a worker
+  // that *answers* but wrongly throws ContractViolation and is not routed
+  // around.
+  negotiate_wire(channel);
+  auto conversation =
+      std::make_shared<WireConversation>(std::move(channel), options_.obs);
+  handshake_locked(conversation, options_.config,
+                   "at " + net::to_string(endpoint));
+  conversation_ = std::move(conversation);
   ++connects_;
   // A reconnect that lands on a different replica is a failover (or a
   // fail-back — both move the serving endpoint); the first connection
@@ -145,9 +107,9 @@ void ReplicaBackend::connect_any() {
   for (const std::size_t replica : scan_order()) {
     try {
       // The lock is taken per endpoint, not across the scan: one lock
-      // hold is bounded by a single connect_timeout (the PR-4 TcpBackend
-      // bound), never by seed-list-size timeouts — submit()/pending()/
-      // stats() squeeze in between attempts against a dead replica set.
+      // hold is bounded by a single connect_timeout, never by
+      // seed-list-size timeouts — submit()/pending()/stats() squeeze in
+      // between attempts against a dead replica set.
       const std::lock_guard<std::mutex> lock(mutex_);
       if (conversation_ && !conversation_->poisoned())
         return;  // raced a concurrent connector
@@ -200,23 +162,10 @@ void ReplicaBackend::ensure_connected() {
 void ReplicaBackend::register_added_top_locked(const std::string& key) {
   if (!conversation_ || conversation_->poisoned()) return;
   try {
-    // A live connection learns the top through its own exchange — on the
-    // binary wire this interleaves with in-flight drains; on the text
-    // wire it waits for the connection like any other exchange.
-    WireConversation::Exchange exchange =
-        WireConversation::open(conversation_);
-    Frame top = command_frame(FrameType::kTop);
-    top.key = key;
-    top.text = tops_.at(key).machine_text;
-    exchange.send(std::move(top));
-    const Frame reply = exchange.receive();
-    if (reply.type == FrameType::kOk) return;
-    if (reply.type != FrameType::kError)
-      conversation_->poison("unexpected top reply");
-    throw ContractViolation("ReplicaBackend: worker at " +
-                            net::to_string(options_.endpoints[current_]) +
-                            " rejected top '" + key +
-                            "': " + describe_reply(reply));
+    // A live connection learns the top through its own exchange, which
+    // interleaves with in-flight drains.
+    register_top_locked(conversation_, key,
+                        "at " + net::to_string(options_.endpoints[current_]));
   } catch (const net::NetError&) {
     // The connection is dead, not the registration: drop it so the next
     // attempt reconnects lazily instead of re-hitting a corpse.
@@ -234,8 +183,8 @@ std::mutex& ReplicaBackend::serve_gate(const std::string& key) {
 void ReplicaBackend::drain_tops(std::span<TopDrain> tops) {
   // One drain per top at a time. The gates of a round are taken in key
   // order, so rounds over overlapping tops cannot deadlock; rounds over
-  // disjoint tops proceed concurrently and, on the binary wire, interleave
-  // their exchanges on the shared connection.
+  // disjoint tops proceed concurrently and interleave their exchanges on
+  // the shared connection.
   std::vector<TopDrain*> order;
   for (TopDrain& top : tops) order.push_back(&top);
   const auto by_key = [](const TopDrain* a, const TopDrain* b) {
@@ -322,12 +271,9 @@ ServiceStats ReplicaBackend::stats(const std::string& key) const {
   }
   if (!conversation || conversation->poisoned()) return cold;
   try {
-    WireConversation::Exchange exchange =
-        WireConversation::open(conversation);
-    Frame query = command_frame(FrameType::kStatsQuery);
+    Frame query(FrameType::kStatsQuery);
     query.key = key;
-    exchange.send(std::move(query));
-    const Frame reply = exchange.receive();
+    const Frame reply = exchange(conversation, std::move(query));
     if (reply.type != FrameType::kStats) {
       if (reply.type != FrameType::kError)
         conversation->poison("unexpected stats reply");
@@ -354,12 +300,9 @@ obs::ObsSnapshot ReplicaBackend::obs_snapshot() {
   // timing (wire, queueing) lives in the cluster's own Obs already.
   if (!conversation || conversation->poisoned()) return {};
   try {
-    WireConversation::Exchange exchange =
-        WireConversation::open(conversation);
     // An empty kObs frame is the query form; the reply carries the
     // replica's per-connection snapshot.
-    exchange.send(command_frame(FrameType::kObs));
-    Frame reply = exchange.receive();
+    Frame reply = exchange(conversation, Frame(FrameType::kObs));
     if (reply.type != FrameType::kObs) {
       if (reply.type != FrameType::kError)
         conversation->poison("unexpected obs reply");
@@ -383,7 +326,7 @@ void ReplicaBackend::shutdown() {
   // Fire-and-close: waiting for "bye" would block shutdown on a vanished
   // peer (serve reads carry no deadline), and the worker ends the
   // connection on EOF just the same.
-  conversation->send_goodbye(command_frame(FrameType::kShutdown));
+  conversation->send_goodbye(Frame(FrameType::kShutdown));
   conversation->poison("shutdown");
 }
 
@@ -407,9 +350,65 @@ std::size_t ReplicaBackend::current_replica() const {
   return current_;
 }
 
-std::string ReplicaBackend::wire_name() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return conversation_ ? conversation_->wire_name() : "";
+// ------------------------------------------------- ListenerWorkerProcess
+
+ListenerWorkerProcess::ListenerWorkerProcess()
+    : ListenerWorkerProcess(Options()) {}
+
+ListenerWorkerProcess::ListenerWorkerProcess(Options options) {
+  const std::string path = discover_worker_path(options.worker_path);
+  int out_pipe[2];
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0)
+    throw ContractViolation("ListenerWorkerProcess: pipe failed");
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    throw ContractViolation("ListenerWorkerProcess: fork failed");
+  }
+  if (pid == 0) {
+    // Child: stdout carries the `listening <port>` banner; the protocol
+    // itself runs over accepted connections.
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    const std::string port_arg = std::to_string(options.port);
+    ::execlp(path.c_str(), "ffsm_shard_worker", "--listen", port_arg.c_str(),
+             static_cast<char*>(nullptr));
+    ::_exit(127);  // exec failed; the parent sees EOF on the banner pipe
+  }
+  ::close(out_pipe[1]);
+  pid_ = static_cast<int>(pid);
+
+  std::string banner;
+  for (;;) {
+    char c = 0;
+    const ssize_t n = ::read(out_pipe[0], &c, 1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0 || c == '\n') break;
+    banner += c;
+  }
+  ::close(out_pipe[0]);
+
+  std::istringstream words(banner);
+  std::string directive;
+  unsigned port = 0;
+  if (!(words >> directive >> port) || directive != "listening" ||
+      port == 0 || port > 65535) {
+    kill();
+    throw ContractViolation(
+        "ListenerWorkerProcess: worker did not report a listening port "
+        "(got '" + banner + "'; is '" + path + "' an ffsm_shard_worker?)");
+  }
+  port_ = static_cast<std::uint16_t>(port);
+}
+
+void ListenerWorkerProcess::kill() noexcept {
+  if (pid_ > 0) {
+    ::kill(pid_, SIGKILL);
+    ::waitpid(pid_, nullptr, 0);
+    pid_ = 0;
+  }
 }
 
 }  // namespace ffsm

@@ -3,32 +3,29 @@
 //
 // The paper's deployment story — f spare resources standing by so any f
 // crashed machines recover without loss — applied to the serving layer
-// itself. Where TcpBackend pins a shard to one static endpoint (a dead
-// worker stalls the shard until that exact address returns), a
-// ReplicaBackend owns an *ordered seed list* of worker endpoints, all
+// itself. A ReplicaBackend owns an *ordered seed list* of worker
+// endpoints (`ffsm_shard_worker --listen`, possibly on other hosts), all
 // replicas of the same shard worker, and serves every exchange through
 // the current primary. A NetError mid-exchange drops the connection and
 // the in-flight retry reconnects to the best replica reachable, replaying
-// the full config/top handshake — a listen-mode worker starts every
-// connection with clean state, so a fresh replica is bit-identical by
-// construction (caches never change results). The handshake also replays
-// the warm cache snapshot the last serve reply carried (kCacheWarm, shipped
-// when the replica's hottest keys moved), so a failover target serves
-// its first drain with the previous primary's hot set resident instead of
-// stone-cold — results stay bit-identical either way. Queueing stays
-// parent-side (QueuedWireBackend): unfinished batches are re-submitted to
-// the survivor and a queue cleared only once every response of its batch
-// arrived, so failover is lossless. With every replica down, the drain
-// fails with the batches still queued and the cluster's failed-drain path
-// takes over; any replica coming back recovers the backlog.
+// the full handshake (QueuedWireBackend::handshake_locked) as exchanges on
+// the fresh connection — a listen-mode worker starts every connection with
+// clean state, so a fresh replica is bit-identical by construction (caches
+// never change results). The handshake also replays the warm cache
+// snapshot the last serve reply carried, so a failover target serves its
+// first drain with the previous primary's hot set resident instead of
+// stone-cold. Queueing stays parent-side: unfinished batches are
+// re-submitted to the survivor and a queue cleared only once every
+// response of its batch arrived, so failover is lossless. With every
+// replica down, the drain fails with the batches still queued and the
+// cluster's failed-drain path takes over; any replica coming back recovers
+// the backlog. A one-endpoint seed list is a plain remote shard: nobody to
+// fail over to, the same reconnect-and-retry otherwise.
 //
-// Every connection negotiates its encoding (sim/messages.hpp): by default
-// the backend offers the binary framing and falls back to text against
-// old workers. The connection itself is a WireConversation — on the
-// binary wire a drain_tops() round sends one exchange per top before it
-// awaits any reply, and concurrent rounds interleave on the one
-// connection (wire I/O happens *outside* the backend lock), while the
-// text wire serializes exchanges exactly as before.
+// The connection is a WireConversation: a drain_tops() round sends one
+// exchange per top before it awaits any reply, and concurrent rounds
+// interleave on the one connection (wire I/O happens *outside* the
+// backend lock).
 //
 // Endpoint selection consults an optional net::HealthMonitor probing the
 // seed list in the background: the connect scan tries replicas the
@@ -38,9 +35,6 @@
 // a higher-priority one probing back up triggers *fail-back* on the next
 // drain: the connection moves only when no exchange is active on the
 // wire, so nothing is dropped.
-//
-// TcpBackend (sim/tcp_backend.hpp) is the one-endpoint special case and
-// derives from this class.
 #pragma once
 
 #include <chrono>
@@ -67,11 +61,6 @@ struct ReplicaBackendOptions {
   std::vector<net::Endpoint> endpoints;
   /// Wire-safe service options sent at every (re)connect.
   ShardServiceConfig config = {};
-  /// Negotiation stance for every connection (see sim/messages.hpp):
-  /// kAuto offers the binary framing and falls back to text against a
-  /// non-negotiating worker; kText pins the pre-negotiation wire; kBinary
-  /// requires the binary framing and fails the connection otherwise.
-  WireMode wire = WireMode::kAuto;
   /// Bounded time per connect attempt against a black-holed host.
   std::chrono::milliseconds connect_timeout{2000};
   /// Backoff across connect rounds; every round scans the whole replica
@@ -84,10 +73,15 @@ struct ReplicaBackendOptions {
   net::RetryPolicy serve_retry = {2, std::chrono::milliseconds(50),
                                   std::chrono::milliseconds(1000), 2};
   /// Maximum request frames in flight per serve exchange — the
-  /// backpressure window (see TcpBackendOptions::serve_window).
+  /// backpressure window. A backlog larger than this drains as several
+  /// windows, each waiting for its responses.
   std::size_t serve_window = 32;
-  /// TCP keepalive probing for the serve connection (reads there carry no
-  /// deadline — generation can run long); idle 0 disables.
+  /// TCP keepalive probing (seconds idle before probing, seconds between
+  /// probes, probes before declaring the peer dead). Generation can
+  /// legitimately take minutes, so serve reads carry no deadline —
+  /// keepalive is what turns a *half-open* connection (peer host died
+  /// without FIN/RST) into a bounded-time NetError instead of a drain
+  /// wedged forever. idle 0 disables.
   int keepalive_idle_s = 30;
   int keepalive_interval_s = 10;
   int keepalive_probes = 3;
@@ -105,7 +99,7 @@ struct ReplicaBackendOptions {
   obs::Obs* obs = nullptr;
 };
 
-class ReplicaBackend : public QueuedWireBackend {
+class ReplicaBackend final : public QueuedWireBackend {
  public:
   explicit ReplicaBackend(ReplicaBackendOptions options);
   ~ReplicaBackend() override;
@@ -115,10 +109,10 @@ class ReplicaBackend : public QueuedWireBackend {
 
   // add_top / validate / submit / pending / discard_pending: the shared
   // parent-side queueing of QueuedWireBackend.
-  /// Pipelines the tops' batches on the live replica — on the binary wire
-  /// one exchange per top, all sent before any reply is awaited — and
-  /// re-sends unfinished batches to the best reachable replica when the
-  /// connection drops mid-round.
+  /// Pipelines the tops' batches on the live replica — one exchange per
+  /// top, all sent before any reply is awaited — and re-sends unfinished
+  /// batches to the best reachable replica when the connection drops
+  /// mid-round.
   void drain_tops(std::span<TopDrain> tops) override;
   /// Worker counters for `key` from the live replica (per-connection on
   /// the worker side); all-zero when disconnected. restarts, failovers
@@ -142,9 +136,6 @@ class ReplicaBackend : public QueuedWireBackend {
   [[nodiscard]] std::uint64_t failovers() const;
   /// Seed-list index of the live (or most recent) connection's replica.
   [[nodiscard]] std::size_t current_replica() const;
-  /// Negotiated encoding of the live connection ("bin" or "text"); empty
-  /// while disconnected.
-  [[nodiscard]] std::string wire_name() const;
 
  private:
   /// A live connection learns new tops immediately; otherwise the next
@@ -166,8 +157,8 @@ class ReplicaBackend : public QueuedWireBackend {
   /// propagate immediately — a worker that *answers wrongly* is not
   /// routed around.
   void connect_any();
-  /// Connect + negotiate + config/top handshake against one replica; on
-  /// success installs the fresh WireConversation.
+  /// Connect + hello + handshake against one replica; on success installs
+  /// the fresh WireConversation.
   void connect_endpoint_locked(std::size_t replica);
   /// Replica indices in attempt order: monitor-alive first (priority
   /// order within each verdict: kUp, kUnknown, kDown), every replica
@@ -191,6 +182,41 @@ class ReplicaBackend : public QueuedWireBackend {
   std::uint64_t connects_ = 0;
   std::uint64_t failovers_ = 0;
   std::size_t current_ = 0;  // endpoint index of the live/last connection
+};
+
+/// A locally spawned `ffsm_shard_worker --listen` process — the loopback
+/// harness tests, benches and examples use to stand in for a remote host
+/// (or for one replica of one). Spawns at construction, parses the
+/// worker's `listening <port>` banner (so port 0 = ephemeral works),
+/// SIGKILLs + reaps at destruction.
+class ListenerWorkerProcess {
+ public:
+  struct Options {
+    /// Worker binary; empty = the SubprocessBackend discovery rules
+    /// ($FFSM_SHARD_WORKER, then next to the current executable).
+    std::string worker_path;
+    /// 0 = ephemeral; pass a previous instance's port() to respawn a
+    /// listener on the same address (SO_REUSEADDR makes this race-free).
+    std::uint16_t port = 0;
+  };
+
+  ListenerWorkerProcess();  // Options() defaults: ephemeral port
+  explicit ListenerWorkerProcess(Options options);
+  ~ListenerWorkerProcess() { kill(); }
+
+  ListenerWorkerProcess(const ListenerWorkerProcess&) = delete;
+  ListenerWorkerProcess& operator=(const ListenerWorkerProcess&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] int pid() const noexcept { return pid_; }
+
+  /// SIGKILL + reap; idempotent. Established connections drop, which is
+  /// exactly what the mid-serve kill tests need.
+  void kill() noexcept;
+
+ private:
+  int pid_ = 0;
+  std::uint16_t port_ = 0;
 };
 
 }  // namespace ffsm

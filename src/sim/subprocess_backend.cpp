@@ -15,15 +15,6 @@
 #include "util/contracts.hpp"
 
 namespace ffsm {
-namespace {
-
-Frame command_frame(FrameType type) {
-  Frame frame;
-  frame.type = type;
-  return frame;
-}
-
-}  // namespace
 
 std::string discover_worker_path(const std::string& explicit_path) {
   if (!explicit_path.empty()) return explicit_path;
@@ -71,29 +62,12 @@ bool SubprocessBackend::live_locked() const {
 
 Frame SubprocessBackend::exchange_locked(Frame command, const char* context) {
   try {
-    WireConversation::Exchange exchange = WireConversation::open(conversation_);
-    exchange.send(std::move(command));
-    return exchange.receive();
+    return exchange(conversation_, std::move(command));
   } catch (const ContractViolation& error) {
     // A dead worker (NetError) or a garbled reply — either way the stream
     // is unusable: reap, and the next drain respawns.
     die_locked(std::string(context) + ": " + error.what());
   }
-}
-
-void SubprocessBackend::expect_ok_locked(Frame command, const char* context,
-                                         const std::string& what) {
-  const Frame reply = exchange_locked(std::move(command), context);
-  if (reply.type != FrameType::kOk)
-    die_locked(what + ": " + describe_reply(reply));
-}
-
-void SubprocessBackend::register_top_locked(const std::string& key) {
-  Frame frame = command_frame(FrameType::kTop);
-  frame.key = key;
-  frame.text = tops_.at(key).machine_text;
-  expect_ok_locked(std::move(frame), "top registration",
-                   "worker rejected top '" + key + "'");
 }
 
 void SubprocessBackend::ensure_worker_locked() {
@@ -140,45 +114,31 @@ void SubprocessBackend::ensure_worker_locked() {
   if (options_.obs != nullptr && spawns_ > 1)
     options_.obs->instant("worker.respawn");
 
-  // Negotiate the encoding, then handshake: configure and re-register
-  // every top in registration order (so a respawned worker rebuilds the
-  // exact same services).
-  std::unique_ptr<WireCodec> codec;
+  // The hello, then the handshake: configure, re-register every top in
+  // registration order (so a respawned worker rebuilds the exact same
+  // services) and replay the last warm snapshots.
   try {
-    codec = negotiate_wire(channel, options_.wire);
-  } catch (const net::NetError&) {
-    die_locked("worker closed the channel during negotiation (is '" + path +
-               "' an ffsm_shard_worker?)");
-  } catch (const ContractViolation&) {
-    // The worker answered, but not with a wire we accept (e.g. --wire=bin
-    // against an old binary): reap it and let the mismatch propagate.
-    kill_worker_locked();
-    throw;
-  }
-  conversation_ = std::make_shared<WireConversation>(
-      std::move(channel), std::move(codec), options_.obs);
-  Frame config = command_frame(FrameType::kConfig);
-  config.config = options_.config;
-  expect_ok_locked(std::move(config), "config",
-                   "worker rejected config (is '" + path +
-                       "' an ffsm_shard_worker?)");
-  for (const std::string& key : top_order_) register_top_locked(key);
-  // Warm handoff: replay the last pre-death cache snapshots so the fresh
-  // worker serves its first drain with the predecessor's hot set resident
-  // instead of recomputing every shared descent prefix from scratch.
-  for (const std::string& key : top_order_) {
-    const TopState& top = tops_.at(key);
-    if (top.warm.empty()) continue;
-    Frame warm = command_frame(FrameType::kCacheWarm);
-    warm.key = key;
-    warm.entries = top.warm;
-    expect_ok_locked(std::move(warm), "warm cache replay",
-                     "worker rejected warm cache for '" + key + "'");
+    negotiate_wire(channel);
+    conversation_ =
+        std::make_shared<WireConversation>(std::move(channel), options_.obs);
+    handshake_locked(conversation_, options_.config,
+                     "pid " + std::to_string(worker_pid_));
+  } catch (const net::NetError& error) {
+    die_locked("worker closed the channel during the handshake (is '" +
+               path + "' an ffsm_shard_worker?): " + error.what());
+  } catch (const ContractViolation& error) {
+    die_locked(error.what());
   }
 }
 
 void SubprocessBackend::register_added_top_locked(const std::string& key) {
-  if (live_locked()) register_top_locked(key);
+  if (!live_locked()) return;
+  try {
+    register_top_locked(conversation_, key,
+                        "pid " + std::to_string(worker_pid_));
+  } catch (const ContractViolation& error) {
+    die_locked(error.what());
+  }
 }
 
 void SubprocessBackend::drain_tops(std::span<TopDrain> tops) {
@@ -212,14 +172,14 @@ ServiceStats SubprocessBackend::stats(const std::string& key) const {
   (void)top_of(key);  // key must be registered
   // Parent-side restart counter: worker counters restart with the worker
   // (like any real process-level metric), respawns are what this backend
-  // survived — so `restarts` lives here, uniformly with TcpBackend.
+  // survived — so `restarts` lives here, uniformly with ReplicaBackend.
   ServiceStats cold;
   cold.restarts = spawns_ > 0 ? spawns_ - 1 : 0;
   // No worker => nothing has served: all-zero counters, like a cold
   // service.
   if (!live_locked()) return cold;
   try {
-    Frame query = command_frame(FrameType::kStatsQuery);
+    Frame query(FrameType::kStatsQuery);
     query.key = key;
     const Frame reply = self->exchange_locked(std::move(query), "stats");
     if (reply.type != FrameType::kStats) return cold;
@@ -240,7 +200,7 @@ obs::ObsSnapshot SubprocessBackend::obs_snapshot() {
   try {
     // An empty kObs frame is the query form; the worker replies with a
     // kObs frame carrying its snapshot.
-    Frame reply = exchange_locked(command_frame(FrameType::kObs), "obs");
+    Frame reply = exchange_locked(Frame(FrameType::kObs), "obs");
     if (reply.type != FrameType::kObs) return {};
     return std::move(reply.obs);
   } catch (const ContractViolation&) {
@@ -253,7 +213,7 @@ void SubprocessBackend::shutdown() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (conversation_) {
     // Best-effort goodbye: a worker already gone is reaped all the same.
-    conversation_->send_goodbye(command_frame(FrameType::kShutdown));
+    conversation_->send_goodbye(Frame(FrameType::kShutdown));
     conversation_->poison("shutdown");
     conversation_.reset();
   }
@@ -273,11 +233,6 @@ int SubprocessBackend::worker_pid() const {
 std::uint64_t SubprocessBackend::spawns() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return spawns_;
-}
-
-std::string SubprocessBackend::wire_name() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return live_locked() ? conversation_->wire_name() : "";
 }
 
 }  // namespace ffsm

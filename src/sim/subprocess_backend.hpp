@@ -1,22 +1,20 @@
 // SubprocessBackend: a cluster shard served by a worker OS process.
 //
 // The first out-of-process ShardBackend: one `ffsm_shard_worker` process
-// per shard, speaking the negotiated wire protocol (sim/messages.hpp)
-// over a socketpair bridged to the worker's stdin/stdout. Machines travel
-// as self-contained to_text (alphabet header included), so the worker
+// per shard, speaking the wire protocol (sim/messages.hpp) over a
+// socketpair bridged to the worker's stdin/stdout. Machines travel as
+// self-contained to_text (alphabet header included), so the worker
 // reconstructs bit-exact transition tables and serves bit-identical
-// fusions to the in-process backend. By default the backend offers the
-// binary framing at spawn and falls back to text against an old worker
-// binary; either way the exchanges below are the same Frames.
+// fusions to the in-process backend.
 //
 // Queueing lives parent-side: submit() queues here, drain_tops() ships
 // every backlogged top's whole queue as one `serve` batch each and clears a
 // queue only once every response of its batch arrived. The connection is a
 // WireConversation, like ReplicaBackend's, and the drain is the same
-// pipelined round (QueuedWireBackend::serve_round): on the binary wire all
-// batches are on the wire, one exchange each, before any reply is awaited,
-// and replies are routed back in whatever order the worker's serve threads
-// finish — one round trip drains the shard. A worker death (EOF / failed
+// pipelined round (QueuedWireBackend::serve_round): all batches are on the
+// wire, one exchange each, before any reply is awaited, and replies are
+// routed back in whatever order the worker's serve threads finish — one
+// round trip drains the shard. A worker death (EOF / failed
 // write mid-exchange) is never lossy: the backend reaps the corpse, fails
 // the unfinished tops, and the cluster's failed-drain path retries their
 // still-queued requests on its next round — at which point the backend
@@ -25,7 +23,7 @@
 // state); results are unaffected because caches never change results.
 //
 // Parent <-> worker exchanges (serialized on an internal mutex; Frame
-// types of sim/messages.hpp):
+// types of sim/messages.hpp), after the hello line each way:
 //   config / top / cachewarm import    -> ok | error          (at spawn)
 //   serve + n request frames (per top,  -> serving + n responses
 //     all tops before any reply)          [+ cachewarm] + done | error
@@ -60,11 +58,6 @@ struct SubprocessBackendOptions {
   std::string worker_path;
   /// Wire-safe service options sent to the worker at every (re)spawn.
   ShardServiceConfig config = {};
-  /// Negotiation stance at every (re)spawn (see sim/messages.hpp): kAuto
-  /// offers the binary framing and falls back to text against an old
-  /// worker binary; kText pins the pre-negotiation wire; kBinary requires
-  /// the binary framing and fails the spawn handshake otherwise.
-  WireMode wire = WireMode::kAuto;
   /// Optional observability context (nullptr = uninstrumented): the
   /// backend emits a `worker.respawn` instant event per respawn, and
   /// obs_snapshot() pulls the worker's own counters/histograms/spans over
@@ -82,9 +75,9 @@ class SubprocessBackend final : public QueuedWireBackend {
 
   // add_top / validate / submit / pending / discard_pending: the shared
   // parent-side queueing of QueuedWireBackend.
-  /// Pipelines every backlogged top's batch (binary wire: one exchange
-  /// per top, all sent before any reply is awaited; the text wire serves
-  /// one batch per round trip), respawning the worker first if needed.
+  /// Pipelines every backlogged top's batch (one exchange per top, all
+  /// sent before any reply is awaited), respawning the worker first if
+  /// needed.
   void drain_tops(std::span<TopDrain> tops) override;
   /// Worker counters for `key`; all-zero when no worker is running (a
   /// fresh or just-crashed shard really has served nothing), with
@@ -103,16 +96,13 @@ class SubprocessBackend final : public QueuedWireBackend {
   [[nodiscard]] int worker_pid() const;
   /// Workers (re)spawned so far — 1 after the first drain, +1 per restart.
   [[nodiscard]] std::uint64_t spawns() const;
-  /// Negotiated encoding of the live worker's wire ("bin" or "text");
-  /// empty while no worker is running.
-  [[nodiscard]] std::string wire_name() const;
 
  private:
   /// A live worker learns new tops immediately; otherwise the next
   /// ensure_worker_locked() registers them with the rest.
   void register_added_top_locked(const std::string& key) override;
 
-  /// Spawns + negotiates + configures + re-registers tops if no worker is
+  /// Spawns + hello + handshake (handshake_locked) if no worker is
   /// running. Throws ContractViolation on spawn or handshake failure.
   void ensure_worker_locked();
   /// Reaps the worker (SIGKILL + waitpid) and drops the conversation.
@@ -123,17 +113,11 @@ class SubprocessBackend final : public QueuedWireBackend {
   /// or a garbled reply reaps the worker and throws (via die_locked),
   /// with `context` in the message.
   Frame exchange_locked(Frame command, const char* context);
-  /// exchange_locked() for a command whose only good answer is ok; any
-  /// other reply reaps the worker and throws with `what` in the message.
-  void expect_ok_locked(Frame command, const char* context,
-                        const std::string& what);
-  /// Registers one top with the live worker.
-  void register_top_locked(const std::string& key);
   [[noreturn]] void die_locked(const std::string& what);
 
   SubprocessBackendOptions options_;
   int worker_pid_ = 0;
-  /// The live worker's negotiated stdio connection; null when none.
+  /// The live worker's stdio connection; null when none.
   std::shared_ptr<WireConversation> conversation_;
   std::uint64_t spawns_ = 0;
 };

@@ -1,11 +1,12 @@
 // net transport primitives: listener/connect round trips on loopback,
-// full-buffer sends of payloads far beyond one syscall, frame reads, and
-// the failure surface — refused connections, torn streams and dead peers
-// all as NetError, never a crash or a SIGPIPE.
+// full-buffer sends and exact-length reads of payloads far beyond one
+// syscall, and the failure surface — refused connections, torn streams,
+// trickling and dead peers all as NetError, never a crash or a SIGPIPE.
 #include "net/line_channel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -82,26 +83,25 @@ TEST(NetListener, EphemeralPortAcceptsLoopbackConnections) {
 }
 
 TEST(NetChannel, LargeFramesCrossInFullBothWays) {
-  // A payload far beyond one send/recv syscall: the full-buffer loops are
-  // what the worker's serve exchanges (many KB of machine text and
-  // partition frames) depend on.
-  std::string big_line(1 << 20, 'x');
-  big_line += "|tail";
-  const std::string frame = "header\n" + big_line + "\nend\n";
+  // A payload far beyond one send/recv syscall: the full-buffer send and
+  // read_exact loops are what the wire's frames (many KB of machine text
+  // and partitions) depend on.
+  std::string frame(1 << 20, 'x');
+  frame += "|tail";
 
   Listener listener(0);
-  std::thread echo([&listener] {
+  std::thread echo([&listener, size = frame.size()] {
     LineChannel channel(listener.accept());
-    const std::string got =
-        channel.read_frame(channel.expect_line("echo header"), "echo");
+    std::string got(size, '\0');
+    ASSERT_TRUE(channel.read_exact(got.data(), got.size()));
     channel.send(got);  // echo the whole frame back
   });
 
   LineChannel channel(
       Socket::connect("127.0.0.1", listener.port(), milliseconds(2000)));
   channel.send(frame);
-  const std::string back =
-      channel.read_frame(channel.expect_line("reply header"), "reply");
+  std::string back(frame.size(), '\0');
+  ASSERT_TRUE(channel.read_exact(back.data(), back.size()));
   EXPECT_EQ(back, frame);
   echo.join();
 }
@@ -122,24 +122,20 @@ TEST(NetChannel, MidLineEofIsATornMessageNotACleanEnd) {
   client.join();
 }
 
-TEST(NetChannel, EofInsideAFrameThrowsWithContext) {
+TEST(NetChannel, EofInsideAReadExactIsATornMessage) {
   Listener listener(0);
   std::thread client([port = listener.port()] {
     Socket socket =
         Socket::connect("127.0.0.1", port, milliseconds(2000));
-    socket.send_all("header\nbody but never an end marker\n");
+    socket.send_all("0123456789");  // ten of the sixteen bytes asked for
   });
   LineChannel channel(listener.accept());
-  try {
-    (void)channel.read_frame(channel.expect_line("test frame"),
-                             "test frame");
-    FAIL() << "a truncated frame must throw";
-  } catch (const NetError& error) {
-    EXPECT_NE(std::string(error.what()).find("test frame"),
-              std::string::npos)
-        << error.what();
-  }
+  char header[16];
+  // The peer is gone with the read begun: a torn frame, not a clean end.
+  EXPECT_THROW((void)channel.read_exact(header, sizeof(header)), NetError);
   client.join();
+  // At a frame boundary, EOF is the clean end.
+  EXPECT_FALSE(channel.read_exact(header, sizeof(header)));
 }
 
 TEST(NetChannel, DeadlineReadFailsInBoundedTimeOnASilentPeer) {
@@ -167,33 +163,33 @@ TEST(NetChannel, DeadlineReadFailsInBoundedTimeOnASilentPeer) {
   EXPECT_EQ(line, "torn without a newline but finished later");
 }
 
-TEST(NetChannel, DeadlineFrameReadBoundsTheWholeFrame) {
-  // A header followed by a trickle that never reaches `end`: read_frame's
-  // single deadline covers the whole frame, so the trickling peer cannot
-  // stretch it line by line.
+TEST(NetChannel, DeadlineBoundsATrickledReadExact) {
+  // A peer that keeps the read alive one byte at a time, never reaching
+  // the count: one deadline covers the whole read_exact, so trickling
+  // cannot stretch it byte by byte. A timed-out read keeps what it got in
+  // `dst` and does not resume — the worker tears the connection down.
   Listener listener(0);
   Socket client =
       Socket::connect("127.0.0.1", listener.port(), milliseconds(2000));
   LineChannel channel(listener.accept());
-  client.send_all("header\nbody line\n");  // never an `end`
+  client.send_all("x");  // buffered before the read begins
+  std::atomic<bool> stop{false};
+  std::thread trickle([&] {
+    while (!stop.load()) {
+      client.send_all("x");
+      std::this_thread::sleep_for(milliseconds(20));
+    }
+  });
 
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)channel.read_frame(
-                   channel.expect_line("frame", start + milliseconds(500)),
-                   "frame", start + milliseconds(500)),
+  std::vector<char> dst(1 << 16);
+  const Deadline deadline = start + milliseconds(300);
+  EXPECT_THROW((void)channel.read_exact(dst.data(), dst.size(), deadline),
                NetError);
   EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds(5000));
-
-  // An already-buffered frame needs no fresh bytes: an expired deadline
-  // does not fail reads the buffer can serve.
-  client.send_all("header\nbody\nend\n");
-  std::string line;
-  ASSERT_TRUE(channel.read_line(
-      line, std::chrono::steady_clock::now() + milliseconds(2000)));
-  const std::string frame =
-      channel.read_frame(line, "buffered frame",
-                         std::chrono::steady_clock::now() + milliseconds(2000));
-  EXPECT_EQ(frame, "header\nbody\nend\n");
+  stop.store(true);
+  trickle.join();
+  EXPECT_EQ(dst[0], 'x');  // what it got before the deadline stays put
 }
 
 TEST(NetSocket, ConnectToClosedPortFailsWithNetError) {

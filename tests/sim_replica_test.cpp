@@ -19,7 +19,6 @@
 #include "net/listener.hpp"
 #include "obs/obs.hpp"
 #include "sim/cluster.hpp"
-#include "sim/tcp_backend.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 
@@ -287,8 +286,8 @@ TEST(ReplicaBackend, FailsBackToARevivedPrimaryWithoutDroppingWork) {
 }
 
 TEST(ReplicaCluster, DrainSurvivesPrimaryKillWithoutARequeue) {
-  // The improvement over single-endpoint TCP in one assert: the same
-  // mid-serve SIGKILL that costs TcpBackend a failed drain + re-queue
+  // The improvement over a one-endpoint seed list in one assert: the same
+  // mid-serve SIGKILL that costs a lone replica a failed drain + re-queue
   // round (sim_tcp_test) completes in ONE drain through the secondary.
   ReplicaFixture fx;
   auto primary = std::make_unique<ListenerWorkerProcess>();

@@ -261,51 +261,46 @@ TEST(SubprocessBackend, RespawnReplaysTheHotSetOfAHitOnlyDrain) {
 
 TEST(SubprocessCluster, DrainsEveryBackloggedTopOfAShardInOneRoundTrip) {
   const SubprocessFixture fx;
-  for (const WireMode wire : {WireMode::kBinary, WireMode::kText}) {
-    SCOPED_TRACE(wire_mode_name(wire));
-    obs::Obs obs;
-    FusionClusterOptions options;
-    options.shards = 1;
-    options.obs = &obs;
-    options.backend_factory = [&](std::size_t) {
-      SubprocessBackendOptions backend_options;
-      backend_options.config.parallel = false;
-      backend_options.wire = wire;
-      backend_options.obs = &obs;
-      return std::make_unique<SubprocessBackend>(backend_options);
-    };
-    FusionCluster cluster(options);
-    cluster.add_top("small", fx.small.top);
-    cluster.add_top("large", fx.large.top);
-    cluster.add_top("twin", fx.small.top);
-    cluster.submit("small", "a", {fx.small_originals, 1});
-    cluster.submit("large", "b",
-                   {fx.large_originals, 2, DescentPolicy::kMostBlocks});
-    cluster.submit("twin", "c", {fx.small_originals, 2});
-    cluster.submit("large", "d", {fx.large_originals, 1});
-    const auto report = cluster.drain();
-    EXPECT_TRUE(report.failed_tops.empty());
-    ASSERT_EQ(report.responses.size(), 4u);
-    EXPECT_EQ(report.responses[0].result.partitions,
-              fx.direct(true, 1, DescentPolicy::kFewestBlocks).partitions);
-    EXPECT_EQ(report.responses[1].result.partitions,
-              fx.direct(false, 2, DescentPolicy::kMostBlocks).partitions);
-    EXPECT_EQ(report.responses[2].result.partitions,
-              fx.direct(true, 2, DescentPolicy::kFewestBlocks).partitions);
-    EXPECT_EQ(report.responses[3].result.partitions,
-              fx.direct(false, 1, DescentPolicy::kFewestBlocks).partitions);
+  obs::Obs obs;
+  FusionClusterOptions options;
+  options.shards = 1;
+  options.obs = &obs;
+  options.backend_factory = [&](std::size_t) {
+    SubprocessBackendOptions backend_options;
+    backend_options.config.parallel = false;
+    backend_options.obs = &obs;
+    return std::make_unique<SubprocessBackend>(backend_options);
+  };
+  FusionCluster cluster(options);
+  cluster.add_top("small", fx.small.top);
+  cluster.add_top("large", fx.large.top);
+  cluster.add_top("twin", fx.small.top);
+  cluster.submit("small", "a", {fx.small_originals, 1});
+  cluster.submit("large", "b",
+                 {fx.large_originals, 2, DescentPolicy::kMostBlocks});
+  cluster.submit("twin", "c", {fx.small_originals, 2});
+  cluster.submit("large", "d", {fx.large_originals, 1});
+  const auto report = cluster.drain();
+  EXPECT_TRUE(report.failed_tops.empty());
+  ASSERT_EQ(report.responses.size(), 4u);
+  EXPECT_EQ(report.responses[0].result.partitions,
+            fx.direct(true, 1, DescentPolicy::kFewestBlocks).partitions);
+  EXPECT_EQ(report.responses[1].result.partitions,
+            fx.direct(false, 2, DescentPolicy::kMostBlocks).partitions);
+  EXPECT_EQ(report.responses[2].result.partitions,
+            fx.direct(true, 2, DescentPolicy::kFewestBlocks).partitions);
+  EXPECT_EQ(report.responses[3].result.partitions,
+            fx.direct(false, 1, DescentPolicy::kFewestBlocks).partitions);
 
-    // The binary wire has all three batches on the wire before it awaits
-    // a reply (one round trip of depth 3); the text worker serves inline,
-    // so there each batch is its own round trip. Either way each batch's
-    // cache snapshot rides its reply.
-    const obs::HistogramSnapshot depth =
-        obs.snapshot().histograms.at("wire.pipeline_depth");
-    EXPECT_EQ(depth.count(), wire == WireMode::kBinary ? 1u : 3u);
-    EXPECT_EQ(depth.sum, 3u);
-    EXPECT_EQ(counter(obs, "wire.warm_snapshot"), 3u);
-    cluster.shutdown();
-  }
+  // All three batches are on the wire before a reply is awaited: one
+  // round trip of depth 3, and each batch's cache snapshot rides its
+  // reply.
+  const obs::HistogramSnapshot depth =
+      obs.snapshot().histograms.at("wire.pipeline_depth");
+  EXPECT_EQ(depth.count(), 1u);
+  EXPECT_EQ(depth.sum, 3u);
+  EXPECT_EQ(counter(obs, "wire.warm_snapshot"), 3u);
+  cluster.shutdown();
 }
 
 TEST(SubprocessCluster, ServesBitIdenticallyToInProcessCluster) {

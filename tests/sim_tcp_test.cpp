@@ -1,9 +1,10 @@
-// TcpBackend: remote shards over real sockets serve bit-identically to
-// direct generation, survive connect-refused and mid-serve connection
-// kills losslessly through the cluster's existing failed-drain re-queue
-// path (recovering once a listener respawns on the same port), and bound
-// in-flight serve frames by the backpressure window.
-#include "sim/tcp_backend.hpp"
+// A one-endpoint ReplicaBackend — a plain remote shard: served over real
+// sockets bit-identically to direct generation, surviving connect-refused
+// and mid-serve connection kills losslessly through the cluster's existing
+// failed-drain re-queue path (recovering once a listener respawns on the
+// same port), and bounding in-flight serve frames by the backpressure
+// window.
+#include "sim/replica_backend.hpp"
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -51,9 +52,9 @@ struct TcpFixture {
 };
 
 /// Fast-failing options for tests: bounded waits, lean serial workers.
-TcpBackendOptions fast_options(std::uint16_t port) {
-  TcpBackendOptions options;
-  options.port = port;
+ReplicaBackendOptions fast_options(std::uint16_t port) {
+  ReplicaBackendOptions options;
+  options.endpoints = {{"127.0.0.1", port}};
   options.config.parallel = false;
   options.connect_timeout = milliseconds(2000);
   options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
@@ -67,10 +68,10 @@ std::uint16_t dead_port() {
   return listener.port();
 }
 
-TEST(TcpBackend, ServesBitIdenticallyToDirectGeneration) {
+TEST(SingleReplica, ServesBitIdenticallyToDirectGeneration) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackend backend(fast_options(worker.port()));
+  ReplicaBackend backend(fast_options(worker.port()));
   backend.add_top("small", fx.small.top);
   EXPECT_FALSE(backend.connected());  // connect is lazy
   EXPECT_EQ(backend.connects(), 0u);
@@ -119,10 +120,10 @@ TEST(TcpBackend, ServesBitIdenticallyToDirectGeneration) {
   EXPECT_THROW((void)backend.drain("nope"), ContractViolation);
 }
 
-TEST(TcpBackend, ShutdownDropsTheConnectionNotTheListener) {
+TEST(SingleReplica, ShutdownDropsTheConnectionNotTheListener) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackend backend(fast_options(worker.port()));
+  ReplicaBackend backend(fast_options(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "a", {fx.small_originals, 1});
   const auto first = backend.drain("small");
@@ -143,9 +144,9 @@ TEST(TcpBackend, ShutdownDropsTheConnectionNotTheListener) {
   EXPECT_EQ(backend.stats("small").restarts, 1u);
 }
 
-TEST(TcpBackend, ConnectRefusedKeepsEveryRequestQueued) {
+TEST(SingleReplica, ConnectRefusedKeepsEveryRequestQueued) {
   const TcpFixture fx;
-  TcpBackend backend(fast_options(dead_port()));
+  ReplicaBackend backend(fast_options(dead_port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "doomed", {fx.small_originals, 1});
   for (int round = 0; round < 2; ++round) {
@@ -159,16 +160,16 @@ TEST(TcpBackend, ConnectRefusedKeepsEveryRequestQueued) {
   EXPECT_EQ(backend.pending("small"), 0u);
 }
 
-TEST(TcpBackend, BackpressureWindowSaturationDrainsInBoundedExchanges) {
+TEST(SingleReplica, BackpressureWindowSaturationDrainsInBoundedExchanges) {
   // 7 requests through a 2-frame window: the drain must complete as 4
   // sequential serve exchanges (batches on the worker side), never more
   // than the window in flight, with responses still in ticket order and
   // bit-identical to direct generation.
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackendOptions options = fast_options(worker.port());
+  ReplicaBackendOptions options = fast_options(worker.port());
   options.serve_window = 2;
-  TcpBackend backend(options);
+  ReplicaBackend backend(options);
   backend.add_top("small", fx.small.top);
 
   struct Ask {
@@ -222,7 +223,7 @@ class ScopedNoopSigusr1 {
   struct sigaction previous_ = {};
 };
 
-TEST(TcpBackend, ServeExchangeSurvivesASignalStorm) {
+TEST(SingleReplica, ServeExchangeSurvivesASignalStorm) {
   // EINTR robustness end to end: pepper BOTH ends of a serve exchange
   // with SIGUSR1 — the worker process (its accept/recv/send loops; it
   // installs its own no-op handler) and the draining thread here (the
@@ -233,9 +234,9 @@ TEST(TcpBackend, ServeExchangeSurvivesASignalStorm) {
   const ScopedNoopSigusr1 handler;
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackendOptions options = fast_options(worker.port());
+  ReplicaBackendOptions options = fast_options(worker.port());
   options.serve_window = 2;  // several exchanges => more interruptible I/O
-  TcpBackend backend(options);
+  ReplicaBackend backend(options);
   // The large fixture on purpose: the drain must run long enough (tens of
   // ms) for hundreds of signals to land inside the exchange, not finish
   // between two of them.
@@ -295,16 +296,16 @@ TEST(TcpBackend, ServeExchangeSurvivesASignalStorm) {
 
 /// A cluster whose every shard speaks TCP to the same worker process;
 /// raw backend pointers kept so tests can probe connections underneath.
-struct TcpCluster {
-  std::vector<TcpBackend*> backends;
+struct SingleReplicaCluster {
+  std::vector<ReplicaBackend*> backends;
   std::unique_ptr<FusionCluster> cluster;
 
-  TcpCluster(const TcpFixture& fx, std::uint16_t port,
-             std::size_t shards = 2) {
+  SingleReplicaCluster(const TcpFixture& fx, std::uint16_t port,
+                       std::size_t shards = 2) {
     FusionClusterOptions options;
     options.shards = shards;
     options.backend_factory = [this, port](std::size_t) {
-      auto backend = std::make_unique<TcpBackend>(fast_options(port));
+      auto backend = std::make_unique<ReplicaBackend>(fast_options(port));
       backends.push_back(backend.get());
       return backend;
     };
@@ -313,12 +314,12 @@ struct TcpCluster {
     cluster->add_top("large", fx.large.top);
   }
 
-  TcpBackend& backend_of(const std::string& key) const {
+  ReplicaBackend& backend_of(const std::string& key) const {
     return *backends[cluster->shard_of(key)];
   }
 };
 
-TEST(TcpCluster, ServesBitIdenticallyToInProcessCluster) {
+TEST(SingleReplicaCluster, ServesBitIdenticallyToInProcessCluster) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
 
@@ -329,7 +330,7 @@ TEST(TcpCluster, ServesBitIdenticallyToInProcessCluster) {
   reference.add_top("small", fx.small.top);
   reference.add_top("large", fx.large.top);
 
-  TcpCluster tcp(fx, worker.port());
+  SingleReplicaCluster tcp(fx, worker.port());
 
   const auto submit_stream = [&](FusionCluster& cluster) {
     for (int c = 0; c < 3; ++c) {
@@ -371,11 +372,12 @@ TEST(TcpCluster, ServesBitIdenticallyToInProcessCluster) {
   EXPECT_THROW((void)tcp.cluster->service("small"), ContractViolation);
 }
 
-TEST(TcpCluster, MidServeConnectionKillIsLosslessAndListenerRespawnHeals) {
+TEST(SingleReplicaCluster,
+     MidServeConnectionKillIsLosslessAndListenerRespawnHeals) {
   const TcpFixture fx;
   auto worker = std::make_unique<ListenerWorkerProcess>();
   const std::uint16_t port = worker->port();
-  TcpCluster tcp(fx, port, 1);
+  SingleReplicaCluster tcp(fx, port, 1);
   FusionCluster& cluster = *tcp.cluster;
 
   // Round 1 establishes the connection and warms the remote caches.
@@ -383,7 +385,7 @@ TEST(TcpCluster, MidServeConnectionKillIsLosslessAndListenerRespawnHeals) {
   cluster.submit("large", "warm", {fx.large_originals, 1});
   const auto first = cluster.drain();
   ASSERT_EQ(first.responses.size(), 2u);
-  TcpBackend& backend = tcp.backend_of("small");
+  ReplicaBackend& backend = tcp.backend_of("small");
   ASSERT_TRUE(backend.connected());
   ASSERT_EQ(backend.connects(), 1u);
 
@@ -426,13 +428,13 @@ TEST(TcpCluster, MidServeConnectionKillIsLosslessAndListenerRespawnHeals) {
   EXPECT_EQ(backend.connects(), 2u);
 }
 
-TEST(TcpCluster, MalformedRequestIsRequeuedAtTheCluster) {
+TEST(SingleReplicaCluster, MalformedRequestIsRequeuedAtTheCluster) {
   // Contents validation stays caller-side: the malformed request never
   // crosses the wire, and the failure model is byte-for-byte the
   // in-process one.
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpCluster tcp(fx, worker.port(), 1);
+  SingleReplicaCluster tcp(fx, worker.port(), 1);
   FusionCluster& cluster = *tcp.cluster;
 
   cluster.submit("large", "bad", {fx.small_originals, 1});  // wrong top

@@ -1,9 +1,10 @@
-// Wire negotiation and exchange multiplexing: every WireMode pairing of
-// parent and worker lands on the agreed encoding (or fails loudly when
-// none exists), fallen-back and negotiated wires serve bit-identically to
-// direct generation, concurrent per-top drains interleave as tagged
-// exchanges on ONE connection, and BackendConfig validates backend shapes
-// uniformly for every embedder.
+// The wire hello and exchange multiplexing: a parent and a worker agree on
+// the binary framing and serve bit-identically to direct generation, the
+// health probe's bare ping is answered, every refusal — an unknown opening
+// line, a stale or text-only hello, a worker that predates binary framing
+// — is loud and loses nothing, concurrent per-top drains interleave as
+// tagged exchanges on ONE connection, and BackendConfig validates backend
+// shapes uniformly for every embedder.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,14 +13,15 @@
 #include <vector>
 
 #include "fusion/generator.hpp"
+#include "net/health.hpp"
 #include "net/line_channel.hpp"
 #include "net/listener.hpp"
 #include "net/socket.hpp"
 #include "sim/backend_config.hpp"
 #include "sim/cluster.hpp"
 #include "sim/messages.hpp"
+#include "sim/replica_backend.hpp"
 #include "sim/subprocess_backend.hpp"
-#include "sim/tcp_backend.hpp"
 #include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
@@ -52,11 +54,10 @@ struct WireFixture {
   }
 };
 
-/// Fast-failing parent options pinned to one negotiation stance.
-TcpBackendOptions wire_options(std::uint16_t port, WireMode wire) {
-  TcpBackendOptions options;
-  options.port = port;
-  options.wire = wire;
+/// Fast-failing parent options against one worker endpoint.
+ReplicaBackendOptions wire_options(std::uint16_t port) {
+  ReplicaBackendOptions options;
+  options.endpoints = {{"127.0.0.1", port}};
   options.config.parallel = false;
   options.connect_timeout = milliseconds(2000);
   options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
@@ -64,158 +65,151 @@ TcpBackendOptions wire_options(std::uint16_t port, WireMode wire) {
   return options;
 }
 
-/// One drain of one request through `backend`, asserting bit-identity.
-void expect_serves(TcpBackend& backend, const WireFixture& fx) {
+TEST(WireNegotiation, PeersAgreeOnBinary) {
+  const WireFixture fx;
+  ListenerWorkerProcess worker;
+  ReplicaBackend backend(wire_options(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "probe", {fx.small_originals, 1});
   const auto responses = backend.drain("small");
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].result.partitions,
             fx.direct(true, 1, DescentPolicy::kFewestBlocks).partitions);
-}
-
-TEST(WireNegotiation, AutoPeersAgreeOnBinary) {
-  const WireFixture fx;
-  ListenerWorkerProcess worker;  // Options() default: --wire=auto
-  TcpBackend backend(wire_options(worker.port(), WireMode::kAuto));
-  EXPECT_EQ(backend.wire_name(), "");  // disconnected: nothing negotiated
-  expect_serves(backend, fx);
-  EXPECT_EQ(backend.wire_name(), "bin");
   EXPECT_EQ(backend.connects(), 1u);
 }
 
-TEST(WireNegotiation, AutoParentFallsBackToTextAgainstTextWorker) {
-  // --wire=text pins the worker to the pre-negotiation behaviour: the
-  // parent's hello is answered like any unknown directive ("error
-  // unknown command..."), which IS the fallback signal — the stream stays
-  // in sync and the whole handshake then runs over the old text wire.
-  const WireFixture fx;
-  ListenerWorkerProcess worker({"", 0, WireMode::kText});
-  TcpBackend backend(wire_options(worker.port(), WireMode::kAuto));
-  expect_serves(backend, fx);
-  EXPECT_EQ(backend.wire_name(), "text");
-  EXPECT_EQ(backend.connects(), 1u);  // fallback reuses the connection
-}
-
-TEST(WireNegotiation, PinnedTextParentSpeaksTextAgainstAutoWorker) {
-  // No hello at all: an auto worker must treat the connection as an old
-  // parent, byte-identical to the pre-negotiation wire.
-  const WireFixture fx;
+TEST(WireNegotiation, HealthProbeReadsAListenerWorkerUp) {
+  // The HealthMonitor knows no frames: its bare `ping` line is the
+  // worker's one non-hello opening it answers.
   ListenerWorkerProcess worker;
-  TcpBackend backend(wire_options(worker.port(), WireMode::kText));
-  expect_serves(backend, fx);
-  EXPECT_EQ(backend.wire_name(), "text");
+  net::HealthMonitorOptions options;
+  options.start_thread = false;
+  options.probe_timeout = milliseconds(2000);
+  net::HealthMonitor monitor(options);
+  const net::Endpoint endpoint{"127.0.0.1", worker.port()};
+  monitor.watch(endpoint);
+  monitor.probe_now();
+  EXPECT_EQ(monitor.health(endpoint).state, net::ProbeState::kUp);
+  EXPECT_EQ(monitor.health(endpoint).probes_failed, 0u);
 }
 
-TEST(WireNegotiation, BinaryRequiredFailsAgainstTextWorker) {
+TEST(WireNegotiation, UnknownOpeningLineGetsOneErrorThenEof) {
+  ListenerWorkerProcess worker;
+  net::LineChannel channel(
+      net::Socket::connect("127.0.0.1", worker.port(), milliseconds(2000)));
+  channel.send("stats small\n");  // a pre-hello command: no longer spoken
+  std::string line;
+  ASSERT_TRUE(channel.read_line(line));
+  EXPECT_EQ(line.rfind("error ", 0), 0u) << line;
+  EXPECT_FALSE(channel.read_line(line)) << "worker kept talking: " << line;
+}
+
+TEST(WireNegotiation, HelloAcceptsOnlyTheCurrentVersionOfferingBin) {
+  // Every earlier version changed a payload's shape, so its hello must
+  // fail the handshake instead of decoding garbage mid-stream.
+  for (int version = 1; version <= 6; ++version) {
+    const std::string hello = "hello " + std::to_string(version) + " bin,text";
+    EXPECT_THROW((void)parse_client_hello(hello), ContractViolation) << hello;
+  }
+  // The current version without a binary offer has nothing in common.
+  EXPECT_THROW((void)parse_client_hello("hello 7 text"), ContractViolation);
+  EXPECT_TRUE(parse_client_hello("hello 7 bin,text"));
+  EXPECT_TRUE(parse_client_hello("hello 7 future,bin"));
+  std::string hello = wire_hello();
+  hello.pop_back();  // read_line strips the '\n'
+  EXPECT_TRUE(parse_client_hello(hello));
+  EXPECT_FALSE(parse_client_hello("ping"));
+}
+
+/// A stand-in for a worker that cannot speak the binary framing: it
+/// answers each connection's hello with `error unknown%20command...` — what
+/// a worker from before the text wire's removal said under `--wire=text` —
+/// and closes.
+class RefusingWorker {
+ public:
+  RefusingWorker() : thread_([this] { run(); }) {}
+  ~RefusingWorker() {
+    // A `stop` line ends the accept loop.
+    net::Socket stop =
+        net::Socket::connect("127.0.0.1", port(), milliseconds(2000));
+    stop.send_all("stop\n");
+    thread_.join();
+  }
+
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return listener_.port();
+  }
+
+ private:
+  void run() {
+    for (;;) {
+      net::LineChannel channel(listener_.accept());
+      std::string hello;
+      if (!channel.read_line(hello) || hello == "stop") return;
+      channel.send("error unknown%20command%20'hello'\n");
+    }
+  }
+
+  net::Listener listener_{0};
+  std::thread thread_;
+};
+
+TEST(WireNegotiation, RefusedHelloFailsTheConnectionLoudly) {
+  RefusingWorker worker;
+  net::LineChannel channel(
+      net::Socket::connect("127.0.0.1", worker.port(), milliseconds(2000)));
+  try {
+    negotiate_wire(channel);
+    FAIL() << "a refused hello must throw";
+  } catch (const net::NetError& error) {
+    FAIL() << "a refusal is not an outage: " << error.what();
+  } catch (const ContractViolation&) {
+  }
+}
+
+TEST(WireNegotiation, WorkerWithoutBinaryFramingFailsTheDrainKeepingWork) {
+  // A worker that ANSWERS but cannot speak the wire is a configuration
+  // error, not an outage: no retry scan, no fallback, nothing lost.
   const WireFixture fx;
-  ListenerWorkerProcess worker({"", 0, WireMode::kText});
-  TcpBackend backend(wire_options(worker.port(), WireMode::kBinary));
+  RefusingWorker worker;
+  ReplicaBackend backend(wire_options(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "doomed", {fx.small_originals, 1});
-  // A worker that ANSWERS but cannot speak the required wire is a
-  // configuration error, not an outage: no retry scan, no fallback.
-  EXPECT_THROW((void)backend.drain("small"), ContractViolation);
+  try {
+    (void)backend.drain("small");
+    FAIL() << "a refused hello must fail the drain";
+  } catch (const net::NetError& error) {
+    FAIL() << "a refusal is not an outage: " << error.what();
+  } catch (const ContractViolation&) {
+  }
   EXPECT_EQ(backend.pending("small"), 1u);  // still queued, never lost
-  EXPECT_EQ(backend.wire_name(), "");
-}
-
-TEST(WireNegotiation, TextParentIsRejectedByBinaryOnlyWorker) {
-  const WireFixture fx;
-  ListenerWorkerProcess worker({"", 0, WireMode::kBinary});
-  TcpBackend backend(wire_options(worker.port(), WireMode::kText));
-  backend.add_top("small", fx.small.top);
-  backend.submit("small", "doomed", {fx.small_originals, 1});
-  EXPECT_THROW((void)backend.drain("small"), ContractViolation);
-  EXPECT_EQ(backend.pending("small"), 1u);
+  EXPECT_EQ(backend.connects(), 0u);
 }
 
 TEST(WireNegotiation, SubprocessSpawnNegotiatesBinary) {
   const WireFixture fx;
-  SubprocessBackend backend;  // default options: wire=auto
+  SubprocessBackend backend;
   backend.add_top("small", fx.small.top);
   backend.submit("small", "probe", {fx.small_originals, 2});
   const auto responses = backend.drain("small");
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].result.partitions,
             fx.direct(true, 2, DescentPolicy::kFewestBlocks).partitions);
-  EXPECT_EQ(backend.wire_name(), "bin");
+  EXPECT_EQ(backend.spawns(), 1u);
   backend.shutdown();
-  EXPECT_EQ(backend.wire_name(), "");
-}
-
-TEST(WireNegotiation, StaleHelloVersionIsRejected) {
-  // The payloads changed shape when the version went to 2 (speculation
-  // stats + config lookahead), so a previous-version hello must fail the
-  // handshake instead of decoding garbage mid-stream.
-  bool offers_binary = false;
-  bool offers_text = false;
-  EXPECT_THROW(
-      (void)parse_client_hello("hello 1 bin,text", offers_binary, offers_text),
-      ContractViolation);
-  // Version 3 (pre-obs) peers don't know the kObs frame, so they must be
-  // turned away at the handshake too.
-  EXPECT_THROW(
-      (void)parse_client_hello("hello 3 bin,text", offers_binary, offers_text),
-      ContractViolation);
-  // Version 4 (pre-stitching) peers encode the serve frame without the
-  // parent span id and the obs frame without gauges — same rule.
-  EXPECT_THROW(
-      (void)parse_client_hello("hello 4 bin,text", offers_binary, offers_text),
-      ContractViolation);
-  // Version 5 peers encode the serve frame without the warm flag and the
-  // cachewarm frame with a count, and never expect a snapshot inside a
-  // serve reply.
-  EXPECT_THROW(
-      (void)parse_client_hello("hello 5 bin,text", offers_binary, offers_text),
-      ContractViolation);
-  // Version 6 peers still carry the speculation counters in stats and
-  // response frames, and speculation_lookahead and incremental in config.
-  EXPECT_THROW(
-      (void)parse_client_hello("hello 6 bin,text", offers_binary, offers_text),
-      ContractViolation);
-  // The current client/worker pair still agrees with itself.
-  std::string hello = client_hello(WireMode::kAuto);
-  hello.pop_back();  // read_line strips the '\n'
-  EXPECT_TRUE(parse_client_hello(hello, offers_binary, offers_text));
-  EXPECT_TRUE(offers_binary);
-  EXPECT_TRUE(offers_text);
-}
-
-TEST(WireNegotiation, VersionMismatchNeverFallsBackToText) {
-  // A worker on a different protocol version answers `error
-  // ...unsupported hello version...` and closes. The parent must fail the
-  // connection in EVERY mode — the text payloads differ across versions
-  // too, so the auto-mode text fallback (reserved for pre-negotiation
-  // workers) would just fail mid-stream instead.
-  net::Listener listener(0);
-  std::thread stale_worker([&listener] {
-    for (int i = 0; i < 2; ++i) {
-      net::LineChannel channel(listener.accept());
-      std::string hello;
-      EXPECT_TRUE(channel.read_line(hello));
-      channel.send("error wire:%20unsupported%20hello%20version%20'2'\n");
-    }
-  });
-  for (const WireMode mode : {WireMode::kAuto, WireMode::kBinary}) {
-    net::LineChannel channel(net::Socket::connect(
-        "127.0.0.1", listener.port(), milliseconds(2000)));
-    EXPECT_THROW((void)negotiate_wire(channel, mode), ContractViolation);
-  }
-  stale_worker.join();
 }
 
 TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
-  // Two tops, drained from two threads at once: on the binary wire both
-  // drains run as tagged exchanges multiplexed on the SAME connection —
+  // Two tops, drained from two threads at once: both drains run as
+  // tagged exchanges multiplexed on the SAME connection —
   // no second connect, every response on the right exchange, everything
   // bit-identical. (Responses landing on the wrong exchange would decode
   // into the wrong drain and fail the partition comparison.)
   const WireFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackendOptions options = wire_options(worker.port(), WireMode::kAuto);
+  ReplicaBackendOptions options = wire_options(worker.port());
   options.serve_window = 2;  // several windows per drain => real overlap
-  TcpBackend backend(options);
+  ReplicaBackend backend(options);
   backend.add_top("small", fx.small.top);
   backend.add_top("large", fx.large.top);
   std::vector<std::uint64_t> small_tickets, large_tickets;
@@ -252,7 +246,6 @@ TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
 
   EXPECT_EQ(backend.connects(), 1u) << "multiplexed drains must share the "
                                        "one connection";
-  EXPECT_EQ(backend.wire_name(), "bin");
   ASSERT_EQ(small_responses.size(), small_tickets.size());
   ASSERT_EQ(large_responses.size(), large_tickets.size());
   for (std::size_t i = 0; i < small_responses.size(); ++i) {
@@ -274,9 +267,8 @@ TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
 TEST(WireMultiplexing, ClusterDrainInterleavesTopsOfOneShard) {
   // The end-to-end path the redesign exists for: a one-shard cluster
   // whose two tops share one worker connection. The cluster's parallel
-  // per-top drain fans both out at once; the binary wire interleaves
-  // them; results must match the in-process cluster response for
-  // response.
+  // per-top drain fans both out at once; the wire interleaves them;
+  // results must match the in-process cluster response for response.
   const WireFixture fx;
   ListenerWorkerProcess worker;
   ThreadPool pool(2);
@@ -286,7 +278,7 @@ TEST(WireMultiplexing, ClusterDrainInterleavesTopsOfOneShard) {
   FusionCluster reference(reference_options);
 
   BackendConfig config;
-  config.kind = BackendConfig::Kind::kTcp;
+  config.kind = BackendConfig::Kind::kReplica;
   config.endpoints = {{"127.0.0.1", worker.port()}};
   FusionClusterOptions options;
   options.shards = 1;
@@ -329,42 +321,30 @@ TEST(BackendConfigFactory, ValidatesBackendShapes) {
   config.endpoints.clear();
   EXPECT_TRUE(static_cast<bool>(make_backend_factory(config)));
 
-  config.kind = BackendConfig::Kind::kTcp;
-  EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
-  config.endpoints = {{"localhost", 1}, {"localhost", 2}};
+  config.kind = BackendConfig::Kind::kReplica;
   EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
   config.endpoints = {{"localhost", 1}};
   EXPECT_TRUE(static_cast<bool>(make_backend_factory(config)));
-  config.endpoints = {{"localhost", 0}};  // a zero port is always a typo
-  EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
-
-  config.kind = BackendConfig::Kind::kReplica;
-  config.endpoints.clear();
-  EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
   config.endpoints = {{"localhost", 1}, {"localhost", 2}};
   EXPECT_TRUE(static_cast<bool>(make_backend_factory(config)));
+  config.endpoints = {{"localhost", 0}};  // a zero port is always a typo
+  EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
 }
 
 TEST(BackendConfigFactory, KindNamesRoundTripStrictly) {
   for (const auto kind :
        {BackendConfig::Kind::kInProcess, BackendConfig::Kind::kSubprocess,
-        BackendConfig::Kind::kTcp, BackendConfig::Kind::kReplica}) {
+        BackendConfig::Kind::kReplica}) {
     BackendConfig::Kind back = BackendConfig::Kind::kInProcess;
     EXPECT_TRUE(parse_backend_kind(backend_kind_name(kind), back));
     EXPECT_EQ(back, kind);
   }
-  BackendConfig::Kind out = BackendConfig::Kind::kTcp;
+  BackendConfig::Kind out = BackendConfig::Kind::kReplica;
   EXPECT_FALSE(parse_backend_kind("", out));
+  EXPECT_FALSE(parse_backend_kind("tcp", out));  // one-endpoint replica-tcp
   EXPECT_FALSE(parse_backend_kind("TCP", out));
   EXPECT_FALSE(parse_backend_kind("replica", out));
-  EXPECT_EQ(out, BackendConfig::Kind::kTcp);  // untouched on failure
-
-  WireMode wire = WireMode::kText;
-  EXPECT_TRUE(parse_wire_mode("bin", wire));
-  EXPECT_EQ(wire, WireMode::kBinary);
-  EXPECT_FALSE(parse_wire_mode("binary", wire));
-  EXPECT_FALSE(parse_wire_mode("Bin", wire));
-  EXPECT_EQ(wire, WireMode::kBinary);
+  EXPECT_EQ(out, BackendConfig::Kind::kReplica);  // untouched on failure
 }
 
 }  // namespace

@@ -1,34 +1,32 @@
 // ffsm_shard_worker: the out-of-process half of the serving backends.
 //
 // One worker hosts one cluster shard: a FusionService per registered top,
-// served over the negotiated wire protocol (sim/messages.hpp). Two
-// transports, one protocol:
+// served over the wire protocol (sim/messages.hpp). Two transports, one
+// protocol:
 //
 //   (default)        stdin/stdout — the SubprocessBackend socketpair
 //                    bridge; one connection, then exit.
 //   --listen <port>  a TCP listener (port 0 = ephemeral; the actual port
-//                    is announced as `listening <port>` on stdout) — the
-//                    TcpBackend's remote end. Each accepted connection is
-//                    served on its own thread with its own clean state, so
-//                    several shards (or several clusters) can share one
+//                    is announced as `listening <port>` on stdout) — a
+//                    ReplicaBackend's remote end. Each accepted connection
+//                    is served on its own thread with its own clean state,
+//                    so several shards (or several clusters) can share one
 //                    worker process; `shutdown` ends the connection, not
 //                    the listener.
 //
-// Every connection starts in text. A parent that wants the binary framing
-// opens with `hello <version> bin[,text]`; the worker answers
-// `hello <version> <choice>` and both sides switch (see sim/messages.hpp
-// "negotiation" — the version must match exactly, a mismatch is refused).
-// `--wire=text` pins the pre-negotiation behaviour — the hello is just an
-// unknown command, answered with `error ...`, which is exactly the reply
-// an auto-mode parent treats as "fall back to text". `--wire=bin` refuses
-// non-negotiating parents instead of falling back.
+// Every connection opens with one text line. A parent's `hello <version>
+// bin[,...]` is answered `hello <version> bin` and both sides switch to
+// binary frames (see sim/messages.hpp "negotiation" — the version must
+// match exactly). A bare `ping` — the HealthMonitor's probe — is answered
+// `pong`. Anything else gets one `error <detail>` line; those two answers
+// end the connection.
 //
 // The parent owns all queueing and retry policy; the worker is a
 // stateless-between-drains serving engine whose only cross-exchange state
 // is what makes it worth keeping alive — the per-top closure caches and
 // stats counters, both scoped to one connection.
 //
-// Protocol (as Frame types; see sim/messages.hpp for both encodings):
+// Protocol after the hello (as Frame types; see sim/messages.hpp):
 //   config                     -> ok            (once, before tops)
 //   top                        -> ok | error
 //   serve + n request frames   -> serving + n responses [+ cachewarm]
@@ -38,13 +36,11 @@
 //   ping                       -> pong
 //   shutdown (or EOF)          -> bye, connection done
 //
-// On the text wire exchanges run strictly one at a time. On the binary
-// wire every command carries an exchange id and serve batches are
-// dispatched to their own threads, so drains for different tops interleave
-// on one connection — a parent pipelines every backlogged top's batch in
-// one write and reads the replies in whatever order they finish; replies
-// echo the command's exchange id and each reply batch is sent as one
-// write.
+// Every command carries an exchange id and serve batches are dispatched to
+// their own threads, so drains for different tops interleave on one
+// connection — a parent pipelines every backlogged top's batch in one
+// write and reads the replies in whatever order they finish; replies echo
+// the command's exchange id and each reply batch is sent as one write.
 //
 // Machines arrive as self-contained to_text (alphabet header included), so
 // the worker reconstructs bit-exact transition tables and its fusions are
@@ -84,21 +80,20 @@ namespace {
 
 using namespace ffsm;
 
-/// Once a frame's first line (or first byte) has arrived, the rest of that
-/// frame must arrive within this budget. A peer that dies (or wedges)
-/// after half a frame must fail its connection thread in bounded time —
-/// TCP keepalive covers half-open *silence*, but a peer that is alive and
-/// not sending would hold the thread forever without this. Generous:
-/// frames are sent whole by every backend, so only a broken peer ever
-/// comes close.
+/// Once a frame's first byte has arrived, the rest of that frame must
+/// arrive within this budget. A peer that dies (or wedges) after half a
+/// frame must fail its connection thread in bounded time — TCP keepalive
+/// covers half-open *silence*, but a peer that is alive and not sending
+/// would hold the thread forever without this. Generous: frames are sent
+/// whole by every backend, so only a broken peer ever comes close.
 constexpr std::chrono::milliseconds kFrameTimeout{60'000};
 
 /// Per-connection serving state. Listener mode gives every accepted
 /// connection a fresh Worker, so a reconnecting backend always finds the
-/// clean slate its re-register handshake assumes. On the binary wire
-/// serve batches run on their own threads, so the map shape is guarded by
-/// `mutex` and each top's batches serialize on its own `serve_mutex`
-/// (drains for *different* tops run concurrently).
+/// clean slate its re-register handshake assumes. Serve batches run on
+/// their own threads, so the map shape is guarded by `mutex` and each
+/// top's batches serialize on its own `serve_mutex` (drains for
+/// *different* tops run concurrently).
 struct Worker {
   struct Service {
     Service(Dfsm top, const FusionServiceOptions& options)
@@ -198,13 +193,9 @@ std::vector<Frame> run_serve(Worker& worker, const Frame& command,
   // in ticket order, so index i maps back to wire ticket i.
   std::vector<Frame> replies;
   replies.reserve(served.size() + 3);
-  Frame serving;
-  serving.type = FrameType::kServing;
-  serving.count = served.size();
-  replies.push_back(std::move(serving));
+  replies.emplace_back(FrameType::kServing).count = served.size();
   for (std::size_t i = 0; i < served.size(); ++i) {
-    Frame reply;
-    reply.type = FrameType::kResponse;
+    Frame reply(FrameType::kResponse);
     reply.response.ticket = tickets[i];
     reply.response.client = std::move(served[i].client);
     reply.response.result = std::move(served[i].result);
@@ -220,28 +211,18 @@ std::vector<Frame> run_serve(Worker& worker, const Frame& command,
                              entry.shipped_hot.begin(),
                              entry.shipped_hot.end())) {
       entry.shipped_hot = std::move(keys);
-      Frame snapshot;
-      snapshot.type = FrameType::kCacheWarm;
+      Frame snapshot(FrameType::kCacheWarm);
       snapshot.key = command.key;
       snapshot.entries = std::move(hot);
       replies.push_back(std::move(snapshot));
     }
   }
-  Frame done;
-  done.type = FrameType::kDone;
-  replies.push_back(std::move(done));
+  replies.emplace_back(FrameType::kDone);
   return replies;
 }
 
-Frame make_reply(FrameType type) {
-  Frame reply;
-  reply.type = type;
-  return reply;
-}
-
 Frame make_error(const std::string& detail) {
-  Frame reply;
-  reply.type = FrameType::kError;
+  Frame reply(FrameType::kError);
   reply.text = detail;
   return reply;
 }
@@ -251,8 +232,7 @@ Frame make_error(const std::string& detail) {
 /// resets anything (counters are lifetime totals; the span ring keeps its
 /// window), so the parent can poll and merge freely.
 Frame handle_obs(Worker& worker) {
-  Frame reply;
-  reply.type = FrameType::kObs;
+  Frame reply(FrameType::kObs);
   reply.obs = worker.obs.snapshot();
   return reply;
 }
@@ -360,119 +340,17 @@ MetricsHub* g_metrics_hub = nullptr;  // set once in main, before any thread
 /// way only inside serve replies (see run_serve).
 Frame handle_cachewarm(Worker& worker, const Frame& command) {
   worker.service_of(command.key).service.warm_cache(command.entries);
-  return make_reply(FrameType::kOk);
+  return Frame(FrameType::kOk);
 }
 
-/// The text wire: one exchange at a time, every command handled inline.
-/// A malformed frame gets an `error` reply with the stream still in sync
-/// — the unknown-command branch of this loop is what a negotiating parent
-/// relies on for its text fallback. Returns false only for a torn
-/// transport.
-bool run_loop_text(Worker& worker, net::LineChannel& channel,
-                   WireCodec& codec) {
-  try {
-    for (;;) {
-      std::optional<Frame> command;
-      try {
-        command = codec.read_command(channel, kFrameTimeout);
-      } catch (const net::NetError&) {
-        throw;  // transport broke: no way to report an error to this peer
-      } catch (const std::exception& error) {
-        // Text framing is line-delimited, so the malformed frame was
-        // consumed whole and the next line starts a fresh command.
-        channel.send(codec.encode(make_error(error.what())));
-        continue;
-      }
-      if (!command) return true;  // clean EOF: the parent is done with us
-      try {
-        switch (command->type) {
-          case FrameType::kConfig:
-            handle_config(worker, *command);
-            channel.send(codec.encode(make_reply(FrameType::kOk)));
-            break;
-          case FrameType::kTop:
-            handle_top(worker, *command);
-            channel.send(codec.encode(make_reply(FrameType::kOk)));
-            break;
-          case FrameType::kServe: {
-            // Consume the whole batch off the wire before serving any of
-            // it: a malformed frame then yields one error reply with the
-            // stream still in sync, instead of the remaining frames being
-            // misread as commands.
-            std::vector<Frame> requests;
-            requests.reserve(command->count);
-            std::string batch_error;
-            for (std::uint64_t i = 0; i < command->count; ++i) {
-              std::optional<Frame> frame;
-              try {
-                frame = codec.read_command(channel, kFrameTimeout);
-              } catch (const net::NetError&) {
-                throw;
-              } catch (const std::exception& error) {
-                if (batch_error.empty()) batch_error = error.what();
-                continue;  // frame consumed; keep draining the batch
-              }
-              if (!frame)
-                throw net::NetError("peer closed the stream mid-batch");
-              if (frame->type != FrameType::kRequest) {
-                if (batch_error.empty())
-                  batch_error = std::string("expected request frame, got '") +
-                                frame_type_name(frame->type) + "'";
-                continue;
-              }
-              requests.push_back(std::move(*frame));
-            }
-            if (!batch_error.empty()) throw ContractViolation(batch_error);
-            std::string out;
-            for (const Frame& reply :
-                 run_serve(worker, *command, std::move(requests)))
-              codec.encode(reply, out);
-            channel.send(out);
-            break;
-          }
-          case FrameType::kStatsQuery: {
-            Frame reply;
-            reply.type = FrameType::kStats;
-            reply.stats = worker.service_of(command->key).service.stats();
-            channel.send(codec.encode(reply));
-            break;
-          }
-          case FrameType::kCacheWarm:
-            channel.send(codec.encode(handle_cachewarm(worker, *command)));
-            break;
-          case FrameType::kObs:
-            channel.send(codec.encode(handle_obs(worker)));
-            break;
-          case FrameType::kPing:
-            channel.send(codec.encode(make_reply(FrameType::kPong)));
-            break;
-          case FrameType::kShutdown:
-            channel.send(codec.encode(make_reply(FrameType::kBye)));
-            return true;
-          default:
-            throw ContractViolation(
-                std::string("unexpected '") + frame_type_name(command->type) +
-                "' command");
-        }
-      } catch (const net::NetError&) {
-        throw;
-      } catch (const std::exception& error) {
-        channel.send(codec.encode(make_error(error.what())));
-      }
-    }
-  } catch (const std::exception&) {
-    return false;  // torn connection; the peer's backend re-queues
-  }
-}
-
-/// The binary wire: commands carry exchange ids, serve batches run on
-/// their own threads, and every reply batch goes out as one write under a
-/// send lock — drains for different tops interleave on this connection.
-/// Any framing error tears the connection (length-prefixed streams cannot
+/// The frame loop: commands carry exchange ids, serve batches run on their
+/// own threads, and every reply batch goes out as one write under a send
+/// lock — drains for different tops interleave on this connection. Any
+/// framing error tears the connection (length-prefixed streams cannot
 /// resync); semantic errors are answered with an `error` frame on the
-/// command's exchange.
-bool run_loop_binary(Worker& worker, net::LineChannel& channel,
-                     WireCodec& codec) {
+/// command's exchange. Returns false only for a torn transport.
+bool run_loop(Worker& worker, net::LineChannel& channel) {
+  WireCodec codec;
   std::mutex send_mutex;
   // Serve threads in flight, each with a flag it raises as its last act.
   struct ServeThread {
@@ -561,15 +439,14 @@ bool run_loop_binary(Worker& worker, net::LineChannel& channel,
         switch (command->type) {
           case FrameType::kConfig:
             handle_config(worker, *command);
-            send_one(make_reply(FrameType::kOk), command->exchange);
+            send_one(Frame(FrameType::kOk), command->exchange);
             break;
           case FrameType::kTop:
             handle_top(worker, *command);
-            send_one(make_reply(FrameType::kOk), command->exchange);
+            send_one(Frame(FrameType::kOk), command->exchange);
             break;
           case FrameType::kStatsQuery: {
-            Frame reply;
-            reply.type = FrameType::kStats;
+            Frame reply(FrameType::kStats);
             reply.stats = worker.service_of(command->key).service.stats();
             send_one(std::move(reply), command->exchange);
             break;
@@ -581,11 +458,11 @@ bool run_loop_binary(Worker& worker, net::LineChannel& channel,
             send_one(handle_obs(worker), command->exchange);
             break;
           case FrameType::kPing:
-            send_one(make_reply(FrameType::kPong), command->exchange);
+            send_one(Frame(FrameType::kPong), command->exchange);
             break;
           case FrameType::kShutdown:
             reap(true);  // let in-flight batches reply before the bye
-            send_one(make_reply(FrameType::kBye), command->exchange);
+            send_one(Frame(FrameType::kBye), command->exchange);
             return true;
           default:
             throw ContractViolation(
@@ -607,70 +484,41 @@ bool run_loop_binary(Worker& worker, net::LineChannel& channel,
   return clean;
 }
 
-/// Negotiates the wire for one fresh connection (every connection starts
-/// in text), then serves its exchanges until `shutdown`, clean EOF, or a
-/// torn transport. Returns false only for the torn case. Never throws —
+/// Answers one fresh connection's opening line (see the file comment),
+/// then serves its frames until `shutdown`, clean EOF, or a torn
+/// transport. Returns false only for the torn case. Never throws —
 /// listener threads are detached and an escaped exception would terminate
 /// the whole worker.
-bool serve_connection_impl(Worker& worker, net::LineChannel& channel,
-                           WireMode mode) {
+bool serve_connection_impl(Worker& worker, net::LineChannel& channel) {
   try {
-    if (mode == WireMode::kText) {
-      // Pinned to the pre-negotiation wire: a hello is just an unknown
-      // command, answered with `error ...` — the reply an auto parent
-      // treats as "this worker speaks text".
-      const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-      return run_loop_text(worker, channel, *codec);
-    }
     std::string first;
     if (!channel.read_line(first)) return true;  // EOF before any command
-    bool offers_binary = false;
-    bool offers_text = false;
-    std::optional<std::string> hello_error;
-    bool is_hello = false;
+    if (first == "ping") {
+      // The health probe knows no frames: one line each way, then close.
+      channel.send("pong\n");
+      return true;
+    }
+    std::string refusal = "expected a hello or ping";
     try {
-      is_hello = parse_client_hello(first, offers_binary, offers_text);
-    } catch (const std::exception& error) {
-      hello_error = error.what();  // a hello, but one we cannot speak
+      if (parse_client_hello(first)) refusal.clear();
+    } catch (const ContractViolation& error) {
+      refusal = error.what();  // a hello, but one we cannot speak
     }
-    if (!is_hello && !hello_error && mode == WireMode::kAuto) {
-      // Old-style parent: no hello, the first line is already a command.
-      channel.unread(first + "\n");
-      const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-      return run_loop_text(worker, channel, *codec);
+    if (!refusal.empty()) {
+      channel.send("error " + refusal + "\n");
+      return true;
     }
-    if (hello_error || !offers_binary) {
-      // Unsupported hello, or no binary offer: --wire=bin refuses (the
-      // parent sees `error` where it awaits the hello reply and fails its
-      // connection); auto falls back to text when the parent allows it.
-      const bool fall_back =
-          mode == WireMode::kAuto && !hello_error && offers_text;
-      const std::string detail =
-          hello_error ? *hello_error
-          : fall_back ? std::string()
-          : mode == WireMode::kBinary
-              ? std::string("binary wire required (--wire=bin)")
-              : std::string("no common wire encoding");
-      if (!fall_back) {
-        channel.send("error " + escape_token(detail) + "\n");
-        return true;
-      }
-      channel.send(worker_hello(/*binary=*/false));
-      const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-      return run_loop_text(worker, channel, *codec);
-    }
-    channel.send(worker_hello(/*binary=*/true));
-    const std::unique_ptr<WireCodec> codec = make_wire_codec(true);
-    return run_loop_binary(worker, channel, *codec);
+    channel.send(wire_hello());
+    return run_loop(worker, channel);
   } catch (const std::exception&) {
     return false;  // torn connection; the peer's backend re-queues
   }
 }
 
-bool serve_connection(net::LineChannel& channel, WireMode mode) {
+bool serve_connection(net::LineChannel& channel) {
   Worker worker;
   if (g_metrics_hub != nullptr) g_metrics_hub->add(&worker.obs);
-  const bool clean = serve_connection_impl(worker, channel, mode);
+  const bool clean = serve_connection_impl(worker, channel);
   // Flush this connection's spans whether it ended cleanly or tore —
   // a trace of the run that died is the one an operator wants most.
   if (g_trace_file != nullptr) g_trace_file->absorb(worker.obs);
@@ -713,7 +561,7 @@ void watch_terminate_signals() {
   ::_exit(0);
 }
 
-int listen_forever(std::uint16_t port, WireMode mode) {
+int listen_forever(std::uint16_t port) {
   try {
     net::Listener listener(port);
     // The banner is the contract with ListenerWorkerProcess and with
@@ -726,9 +574,9 @@ int listen_forever(std::uint16_t port, WireMode mode) {
       // One thread per connection, detached: connections are independent
       // (own Worker, own pool) and die with their peer or the process.
       std::thread(
-          [mode](net::Socket socket) {
+          [](net::Socket socket) {
             net::LineChannel channel(std::move(socket));
-            (void)serve_connection(channel, mode);
+            (void)serve_connection(channel);
           },
           std::move(connection))
           .detach();
@@ -761,13 +609,11 @@ int main(int argc, char** argv) {
   std::uint16_t listen_port = 0;
   bool metrics_mode = false;
   std::uint16_t metrics_port = 0;
-  ffsm::WireMode wire = ffsm::WireMode::kAuto;
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* port_text = nullptr;
     const char* metrics_text = nullptr;
-    const char* wire_text = nullptr;
     if (arg == "--listen" && i + 1 < argc) {
       port_text = argv[++i];
     } else if (arg.rfind("--listen=", 0) == 0) {
@@ -776,10 +622,6 @@ int main(int argc, char** argv) {
       metrics_text = argv[++i];
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
       metrics_text = arg.c_str() + std::strlen("--metrics-port=");
-    } else if (arg == "--wire" && i + 1 < argc) {
-      wire_text = argv[++i];
-    } else if (arg.rfind("--wire=", 0) == 0) {
-      wire_text = arg.c_str() + std::strlen("--wire=");
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -787,7 +629,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--listen <port>] [--metrics-port <port>] "
-                   "[--wire {text,bin,auto}] [--trace-out <file.json>]\n",
+                   "[--trace-out <file.json>]\n",
                    argv[0]);
       return 2;
     }
@@ -808,13 +650,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       metrics_mode = true;
-    }
-    // Same strictness for the wire: "binary" or "Text" silently meaning
-    // auto would make a negotiation bug invisible.
-    if (wire_text != nullptr && !ffsm::parse_wire_mode(wire_text, wire)) {
-      std::fprintf(stderr, "ffsm_shard_worker: bad wire mode '%s'\n",
-                   wire_text);
-      return 2;
     }
   }
 
@@ -871,7 +706,7 @@ int main(int argc, char** argv) {
 
   if (!listen_mode) {
     ffsm::net::LineChannel channel(STDIN_FILENO, STDOUT_FILENO);
-    return serve_connection(channel, wire) ? 0 : 1;
+    return serve_connection(channel) ? 0 : 1;
   }
-  return listen_forever(listen_port, wire);
+  return listen_forever(listen_port);
 }

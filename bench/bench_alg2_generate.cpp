@@ -8,9 +8,11 @@
 #include "bench_support.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 
 #include "fsm/random_dfsm.hpp"
+#include "obs/obs.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -37,6 +39,117 @@ CrossProduct random_pair_product(std::uint32_t states_each,
         alphabet, "m" + std::to_string(i), spec));
   }
   return reachable_cross_product(machines);
+}
+
+/// The first `count` of MESI, TCP, the paper's machines A and B, the DHCP
+/// client and the traffic light, crossed: 4 give recover's 176-state top,
+/// 5 give 1,056 states and 6 give 3,168.
+CrossProduct catalog_top(std::size_t count) {
+  auto alphabet = Alphabet::create();
+  std::vector<Dfsm> machines;
+  machines.push_back(make_mesi(alphabet));
+  machines.push_back(make_tcp(alphabet));
+  machines.push_back(make_paper_machine_a(alphabet));
+  machines.push_back(make_paper_machine_b(alphabet));
+  machines.push_back(make_dhcp_client(alphabet));
+  machines.push_back(make_traffic_light(alphabet));
+  machines.resize(count);
+  return reachable_cross_product(machines);
+}
+
+/// Least-squares slope of log(ms) against log(states).
+double log_log_slope(const std::vector<std::pair<double, double>>& points) {
+  if (points.size() < 2) return 0.0;
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  for (const auto& [states, ms] : points) {
+    const double x = std::log(states);
+    const double y = std::log(ms);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  const auto n = static_cast<double>(points.size());
+  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
+
+/// Cold generate_fusion at f=2 (private cache, so every cover is computed)
+/// on three top families, at 1 and 4 threads: how the identity's lower
+/// cover, which dominates cold generation, grows with the top. A report,
+/// not a gate: only bit-identity across thread counts is checked.
+void report_cold_scaling(bench::JsonReporter& json) {
+  std::printf("== Cold Algorithm 2 scaling (f=2, private cache) ==\n");
+  struct Family {
+    std::string name;
+    std::vector<CrossProduct> tops;
+  };
+  std::vector<Family> families(3);
+  families[0].name = "catalog";
+  for (const std::size_t count : {4u, 5u, 6u})
+    families[0].tops.push_back(catalog_top(count));
+  families[1].name = "counters";
+  for (const std::uint32_t k : {16u, 32u})
+    families[1].tops.push_back(bench::counter_pair_product(k));
+  families[2].name = "random";
+  families[2].tops.push_back(random_pair_product(27, 2, 1));  // 500 states
+  families[2].tops.push_back(random_pair_product(55, 2, 1));  // 1,994
+
+  TextTable table({"family", "|top|", "threads", "ms", "pairs evaluated",
+                   "pairs stopped"});
+  std::vector<std::string> exponents;
+  for (const Family& family : families) {
+    std::vector<std::pair<double, double>> points[2];  // 1 and 4 threads
+    for (const CrossProduct& cp : family.tops) {
+      const auto originals = bench::original_partitions(cp);
+      const std::string top = family.name + std::to_string(cp.top.size());
+      // The 3,168-state top takes seconds per run: 4 threads, one run.
+      const bool largest = cp.top.size() > 3000;
+      std::vector<Partition> first;
+      for (const std::uint32_t threads : {1u, 4u}) {
+        if (largest && threads == 1) continue;
+        ThreadPool pool(threads);
+        GenerateOptions options;
+        options.f = 2;
+        options.pool = &pool;
+        FusionResult result;
+        std::uint64_t stopped = 0;
+        const std::string label =
+            "cold_scaling_" + top + "_" + std::to_string(threads) + "t";
+        const double ms = json.measure_ms(
+            label,
+            [&] {
+              obs::Obs obs;
+              options.obs = &obs;
+              result = generate_fusion(cp.top, originals, options);
+              stopped = obs.snapshot().counters["gen.closure_pruned"];
+            },
+            largest ? 1 : 3, 0);
+        json.add_metric(label, "pairs_evaluated",
+                        static_cast<double>(result.stats.closures_evaluated));
+        json.add_metric(label, "pairs_stopped", static_cast<double>(stopped));
+        table.add_row({family.name, std::to_string(cp.top.size()),
+                       std::to_string(threads), fmt2(ms),
+                       with_thousands(result.stats.closures_evaluated),
+                       with_thousands(stopped)});
+        points[threads == 1 ? 0 : 1].emplace_back(cp.top.size(), ms);
+        if (first.empty()) {
+          first = result.partitions;
+        } else {
+          const std::string what = top + " bit-identical at 1 and 4 threads";
+          bench::require(result.partitions == first, what.c_str());
+        }
+      }
+    }
+    for (const std::size_t t : {0u, 1u}) {
+      const double slope = log_log_slope(points[t]);
+      const std::string key = t == 0 ? "exponent_1t" : "exponent_4t";
+      json.add_metric("cold_scaling_" + family.name, key, slope);
+      exponents.push_back(family.name + " " + key + "=" + fmt2(slope));
+    }
+  }
+  std::printf("%s\n", table.to_string().c_str());
+  for (const std::string& line : exponents) std::printf("%s\n", line.c_str());
+  std::printf("\n");
 }
 
 void report() {
@@ -125,6 +238,8 @@ void report() {
   json.add_metric("catalog_f2", "machines_added",
                   static_cast<double>(serial_result.stats.machines_added));
   std::printf("top=%u\n%s\n", cp.top.size(), sweep.to_string().c_str());
+
+  report_cold_scaling(json);
 }
 
 void generate_random_pairs(benchmark::State& state) {

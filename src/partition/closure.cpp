@@ -1,6 +1,7 @@
 #include "partition/closure.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -107,6 +108,23 @@ Partition merge_closure(const Dfsm& machine, const Partition& p,
   return result;
 }
 
+std::pair<std::uint32_t, std::uint32_t> block_pair_at(
+    std::size_t index, std::uint32_t blocks) noexcept {
+  // Row i holds the pairs (i, i+1..blocks-1) and starts at index
+  // block_pair_index(i, i + 1, blocks). Solve for the last row starting at
+  // or before `index` in floating point, then correct by whole rows.
+  const auto row_start = [blocks](std::uint32_t i) {
+    return block_pair_index(i, i + 1, blocks);
+  };
+  const double b = 2.0 * blocks - 1.0;
+  const double estimate =
+      (b - std::sqrt(b * b - 8.0 * static_cast<double>(index))) / 2.0;
+  auto i = static_cast<std::uint32_t>(std::max(0.0, estimate));
+  while (i > 0 && row_start(i) > index) --i;
+  while (i + 2 < blocks && row_start(i + 1) <= index) ++i;
+  return {i, static_cast<std::uint32_t>(i + 1 + (index - row_start(i)))};
+}
+
 MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
                                        const Partition& base)
     : machine_(machine) {
@@ -125,16 +143,17 @@ MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
   // Seed with the base partition: link every element to its block's first
   // element, then run the congruence closure once (bound 0 never stops
   // it). The snapshot taken here is what evaluate() restores per pair.
+  united_.resize(n_);
   std::vector<State> first(base_blocks_, kInvalidState);
-  queue_.clear();
+  std::vector<std::pair<State, State>> seeds;
   for (State s = 0; s < n_; ++s) {
     State& f = first[base.block_of(s)];
     if (f == kInvalidState)
       f = s;
     else
-      queue_.emplace_back(f, s);
+      seeds.emplace_back(f, s);
   }
-  run(0);
+  run(seeds, 0);
   seed_parent_ = parent_;
   seed_size_ = size_;
   seed_min_block_ = min_block_;
@@ -143,12 +162,20 @@ MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
   canon_.resize(n_);
 }
 
-bool MergeClosureEngine::run(std::size_t bound) {
-  // Congruence closure over the pending queue. Invariant: the seeded base
-  // is already closed, so within every class all members' successors are
-  // co-classed; pushing the *root representatives'* successors (instead of
-  // the original pair's, as merge_closure does) therefore reaches the same
-  // fixpoint — one pair per union instead of one per queue entry.
+bool MergeClosureEngine::run(std::span<const std::pair<State, State>> pairs,
+                             std::size_t bound) {
+  // Congruence closure. Invariant: the seeded base is already closed, so
+  // within every class all members' successors are co-classed; expanding
+  // the *root representatives'* successors (instead of the original
+  // pair's, as merge_closure does) therefore reaches the same fixpoint —
+  // one successor pair per union and event instead of one per queue entry.
+  //
+  // The successor pairs are generated from the recorded unions as they are
+  // read: the explicit pairs first, then union by union, event by event —
+  // the order a FIFO queue of every union's successors would hold them in,
+  // so the unions, the stop decision and the result are those of the
+  // queue, but a stopped closure never builds the successors it would not
+  // reach.
   auto find = [this](std::uint32_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
@@ -156,11 +183,16 @@ bool MergeClosureEngine::run(std::size_t bound) {
     }
     return x;
   };
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const auto [a, b] = queue_[head];
+  // A plain pointer and a local count, not push_back: the compiler then
+  // keeps both in registers instead of reloading the vector's end pointer
+  // around every union.
+  std::pair<State, State>* const united = united_.data();
+  std::size_t count = 0;
+  // Unites the classes of a and b; false when the union is out of bound.
+  const auto unite = [&](std::uint32_t a, std::uint32_t b) {
     std::uint32_t x = find(a);
     std::uint32_t y = find(b);
-    if (x == y) continue;
+    if (x == y) return true;
     // Of all base-block pairs this union joins, the one with the lowest
     // index pairs the two classes' smallest blocks.
     const auto [lo, hi] = std::minmax(min_block_[x], min_block_[y]);
@@ -170,9 +202,16 @@ bool MergeClosureEngine::run(std::size_t bound) {
     parent_[y] = x;
     size_[x] += size_[y];
     min_block_[x] = lo;
+    united[count++] = {x, y};
+    return true;
+  };
+  for (const auto& [a, b] : pairs)
+    if (!unite(a, b)) return false;
+  for (std::size_t u = 0; u < count; ++u) {
+    const auto [x, y] = united[u];
     for (std::uint32_t e = 0; e < k_; ++e)
-      queue_.emplace_back(machine_.step_local(x, e),
-                          machine_.step_local(y, e));
+      if (!unite(machine_.step_local(x, e), machine_.step_local(y, e)))
+        return false;
   }
   return true;
 }
@@ -189,9 +228,8 @@ std::optional<std::size_t> MergeClosureEngine::evaluate_bounded(
   std::memcpy(parent_.data(), seed_parent_.data(), bytes);
   std::memcpy(size_.data(), seed_size_.data(), bytes);
   std::memcpy(min_block_.data(), seed_min_block_.data(), bytes);
-  queue_.clear();
-  queue_.emplace_back(a, b);
-  if (!run(pair_index)) return std::nullopt;
+  const std::pair<State, State> pair{a, b};
+  if (!run({&pair, 1}, pair_index)) return std::nullopt;
 
   // First-occurrence renumbering fused with the same per-element FNV-1a
   // round Partition::hash() applies, so the returned hash equals

@@ -40,17 +40,25 @@ namespace ffsm {
          static_cast<std::size_t>(i) * (i + 1) / 2 + (j - i - 1);
 }
 
+/// Inverse of block_pair_index: the pair (i, j), i < j, whose index among
+/// the pairs of `blocks` blocks is `index`. Requires
+/// index < blocks * (blocks - 1) / 2.
+[[nodiscard]] std::pair<std::uint32_t, std::uint32_t> block_pair_at(
+    std::size_t index, std::uint32_t blocks) noexcept;
+
 /// Batch evaluator for many single-pair merge closures over one fixed base
 /// partition — the lower-cover hot loop (every candidate cover is
 /// closure(base, {a,b}) for one pair of block representatives).
 ///
 /// Compared to calling merge_closure per pair, the engine (a) seeds the
 /// base partition's union-find once and restores it per pair with
-/// memcpys instead of re-running the seeding closure, and (b) fuses
-/// canonical renumbering with the FNV-1a hash (identical to
-/// Partition::hash()) in one pass, so callers can dedup candidates without
-/// materializing a Partition for every pair. Results are bit-identical to
-/// merge_closure(machine, base, {{a,b}}).
+/// memcpys instead of re-running the seeding closure, (b) generates each
+/// union's successor pairs on demand, one event at a time, so a closure
+/// stopped by evaluate_bounded never builds the successors it would not
+/// read, and (c) fuses canonical renumbering with the FNV-1a hash
+/// (identical to Partition::hash()) in one pass, so callers can dedup
+/// candidates without materializing a Partition for every pair. Results
+/// are bit-identical to merge_closure(machine, base, {{a,b}}).
 ///
 /// Not thread-safe; use one engine per thread over the same base.
 class MergeClosureEngine {
@@ -88,10 +96,11 @@ class MergeClosureEngine {
   [[nodiscard]] std::uint32_t block_count() const noexcept { return blocks_; }
 
  private:
-  /// Congruence closure over queue_ on the scratch union-find. Stops and
-  /// returns false on a union of two classes whose smallest base blocks
-  /// form a pair with index below `bound` (never, for bound 0).
-  bool run(std::size_t bound);
+  /// Congruence closure on the working union-find: unites `pairs`, then
+  /// the successor pairs of every union in order. Stops and returns false
+  /// on a union of two classes whose smallest base blocks form a pair with
+  /// index below `bound` (never, for bound 0).
+  bool run(std::span<const std::pair<State, State>> pairs, std::size_t bound);
 
   const Dfsm& machine_;
   std::uint32_t n_ = 0;
@@ -109,7 +118,10 @@ class MergeClosureEngine {
   std::vector<std::uint32_t> min_block_;
   std::vector<std::uint32_t> norm_;
   std::vector<std::uint32_t> canon_;
-  std::vector<std::pair<State, State>> queue_;
+  // Buffer for run(): the root pairs of its unions, in union order, each
+  // expanded into its successor pairs. n slots: a run unites at most n - 1
+  // times.
+  std::vector<std::pair<State, State>> united_;
 };
 
 }  // namespace ffsm

@@ -324,7 +324,10 @@ namespace {
 /// dedup on the fused canonical hash (exact compare on collision) so
 /// duplicate closures never materialize a Partition. Chunks have a FIXED
 /// size, independent of thread count, and are merged in ascending index
-/// order through a global first-occurrence filter.
+/// order through a global first-occurrence filter. Pair k is the pair of
+/// blocks block_pair_at(k) of the block representatives `rep`: a chunk
+/// inverts the index of its first pair and walks forward over `rep`, so no
+/// list of all pairs is ever built.
 ///
 /// Pair i's closure is stopped as soon as it unites the blocks of an
 /// earlier pair j < i (MergeClosureEngine::evaluate_bounded): it is then
@@ -339,22 +342,33 @@ namespace {
 /// any thread count; parallel=false evaluates every pair as one chunk on
 /// the calling thread. Returns the distinct completed closures in index
 /// order and counts the stopped ones in `gen.closure_pruned`.
-std::vector<Partition> fused_candidates(
-    const Dfsm& machine, const Partition& p,
-    const std::vector<std::pair<State, State>>& pairs,
-    const LowerCoverOptions& options) {
+std::vector<Partition> fused_candidates(const Dfsm& machine, const Partition& p,
+                                        const std::vector<State>& rep,
+                                        const LowerCoverOptions& options) {
   struct Distinct {
     std::size_t hash;
     std::vector<std::uint32_t> canon;
   };
+  struct Chunk {
+    std::vector<Distinct> distinct;
+    std::uint64_t stopped = 0;
+  };
 
-  const auto evaluate_range = [&](std::size_t lo, std::size_t hi,
-                                  std::vector<Distinct>& out,
-                                  std::uint64_t& stopped) {
+  const auto blocks = static_cast<std::uint32_t>(rep.size());
+  const std::size_t pair_count =
+      static_cast<std::size_t>(blocks) * (blocks - 1) / 2;
+  // Both results are built in locals and stored once: the chunks' slots
+  // share cache lines, and a per-pair store there would bounce them
+  // between threads.
+  const auto evaluate_range = [&](std::size_t lo, std::size_t hi) {
+    std::vector<Distinct> distinct;
+    std::uint64_t stopped = 0;
     MergeClosureEngine engine(machine, p);
-    for (std::size_t i = lo; i < hi; ++i) {
+    auto [i, j] = block_pair_at(lo, blocks);
+    for (std::size_t k = lo; k < hi; ++k) {
       const std::optional<std::size_t> hash =
-          engine.evaluate_bounded(pairs[i].first, pairs[i].second, i);
+          engine.evaluate_bounded(rep[i], rep[j], k);
+      if (++j == blocks) j = ++i + 1;
       if (!hash) {
         ++stopped;
         continue;
@@ -362,15 +376,16 @@ std::vector<Partition> fused_candidates(
       const std::size_t h = *hash;
       const std::span<const std::uint32_t> canon = engine.assignment();
       bool duplicate = false;
-      for (const Distinct& d : out)
+      for (const Distinct& d : distinct)
         if (d.hash == h &&
             std::equal(d.canon.begin(), d.canon.end(), canon.begin())) {
           duplicate = true;
           break;
         }
       if (!duplicate)
-        out.push_back({h, {canon.begin(), canon.end()}});
+        distinct.push_back({h, {canon.begin(), canon.end()}});
     }
+    return Chunk{std::move(distinct), stopped};
   };
 
   // Pair chunks are fixed-size (NOT thread-count-derived): the merge below
@@ -378,11 +393,10 @@ std::vector<Partition> fused_candidates(
   // and the per-chunk engine count — reproducible for profiling.
   constexpr std::size_t kChunkPairs = 2048;
   const std::size_t chunk_count =
-      options.parallel ? (pairs.size() + kChunkPairs - 1) / kChunkPairs : 1;
-  std::vector<std::vector<Distinct>> chunk_distinct(chunk_count);
-  std::vector<std::uint64_t> chunk_pruned(chunk_count, 0);
+      options.parallel ? (pair_count + kChunkPairs - 1) / kChunkPairs : 1;
+  std::vector<Chunk> chunks(chunk_count);
   if (chunk_count == 1) {
-    evaluate_range(0, pairs.size(), chunk_distinct[0], chunk_pruned[0]);
+    chunks[0] = evaluate_range(0, pair_count);
   } else {
     ParallelOptions popt;
     popt.pool = options.pool;
@@ -391,14 +405,14 @@ std::vector<Partition> fused_candidates(
         0, chunk_count,
         [&](std::size_t c) {
           const std::size_t lo = c * kChunkPairs;
-          const std::size_t hi = std::min(pairs.size(), lo + kChunkPairs);
-          evaluate_range(lo, hi, chunk_distinct[c], chunk_pruned[c]);
+          chunks[c] =
+              evaluate_range(lo, std::min(pair_count, lo + kChunkPairs));
         },
         popt);
   }
   if (options.obs != nullptr) {
     std::uint64_t pruned = 0;
-    for (const std::uint64_t c : chunk_pruned) pruned += c;
+    for (const Chunk& chunk : chunks) pruned += chunk.stopped;
     options.obs->count("gen.closure_pruned", pruned);
   }
 
@@ -408,8 +422,8 @@ std::vector<Partition> fused_candidates(
   // exactly the first-occurrence order of the full list of pair closures.
   std::vector<Partition> unique;
   std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
-  for (auto& chunk : chunk_distinct) {
-    for (Distinct& d : chunk) {
+  for (Chunk& chunk : chunks) {
+    for (Distinct& d : chunk.distinct) {
       auto& chain = by_hash[d.hash];
       bool duplicate = false;
       for (const std::size_t u : chain) {
@@ -442,20 +456,12 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
   for (State s = 0; s < p.size(); ++s)
     if (rep[p.block_of(s)] == kInvalidState) rep[p.block_of(s)] = s;
 
-  // All unordered block pairs, in block_pair_index order: pairs[k] is
-  // pair k, which fused_candidates' pruning bound relies on.
-  std::vector<std::pair<State, State>> pairs;
-  pairs.reserve(static_cast<std::size_t>(blocks) * (blocks - 1) / 2);
-  for (std::uint32_t i = 0; i < blocks; ++i)
-    for (std::uint32_t j = i + 1; j < blocks; ++j)
-      pairs.emplace_back(rep[i], rep[j]);
-
   // Candidates arrive deduplicated in first-occurrence order; keep the
   // maximal ones, then check closedness on the few survivors.
   obs::Obs* const obs = options.obs;
   const bool timed = obs != nullptr && obs->enabled();
   const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-  std::vector<Partition> unique = fused_candidates(machine, p, pairs, options);
+  std::vector<Partition> unique = fused_candidates(machine, p, rep, options);
   if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
   const std::size_t k = unique.size();
   std::vector<char> dominated(k, 0);

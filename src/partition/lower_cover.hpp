@@ -10,12 +10,16 @@
 // alpha). A MergeClosureEngine per fixed-size chunk of pairs seeds the base
 // union-find once and restores it per pair, stops a pair's closure once it
 // unites an earlier pair's blocks (it can then add no new maximal
-// element), and drops duplicates inline on the canonical hash. Chunks fan
-// out across the thread pool and merge in pair order, so the cover, order
-// included, is the same at any thread count; parallel=false runs one chunk
-// on the calling thread. The definition itself (one merge_closure per
-// pair, dedup, naive maximality filter) lives in tests/oracle.hpp as the
-// reference the evaluator is checked against.
+// element), generates a closure's successor pairs only as it reads them,
+// and drops duplicates inline on the canonical hash. Each chunk finds its
+// first pair by inverting the pair index and walks on from there, so no
+// list of all B(B-1)/2 pairs is built, and counts its stopped closures
+// locally. Chunks fan out across the thread pool and merge in pair order,
+// so the cover, order included, is the same at any thread count;
+// parallel=false runs one chunk on the calling thread. The definition
+// itself (one merge_closure per pair, dedup, naive maximality filter)
+// lives in tests/oracle.hpp as the reference the evaluator is checked
+// against.
 //
 // A lower cover depends only on (machine, p) — not on which originals or
 // fault graph drove the caller there — so results are memoizable across

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "fsm/machine_catalog.hpp"
+#include "fsm/product.hpp"
 #include "fsm/random_dfsm.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -122,6 +125,18 @@ TEST(MergeClosure, OutOfRangePairThrows) {
                ContractViolation);
 }
 
+TEST(BlockPairIndex, BlockPairAtInvertsEveryIndex) {
+  for (std::uint32_t blocks = 2; blocks <= 200; ++blocks) {
+    std::size_t k = 0;
+    for (std::uint32_t i = 0; i < blocks; ++i)
+      for (std::uint32_t j = i + 1; j < blocks; ++j, ++k) {
+        ASSERT_EQ(block_pair_index(i, j, blocks), k);
+        ASSERT_EQ(block_pair_at(k, blocks), std::make_pair(i, j))
+            << "index " << k << " of " << blocks << " blocks";
+      }
+  }
+}
+
 /// The pruning lemma behind the fused lower cover, over every block pair k
 /// of `base` in block_pair_index order: the engine's full evaluation
 /// matches merge_closure; a bounded evaluation either completes with the
@@ -185,23 +200,40 @@ std::size_t expect_pruning_lemma(const Dfsm& m, const Partition& base) {
   return stopped;
 }
 
+TEST(MergeClosure, PruningLemmaOnAManyEventProduct) {
+  // MESI x TCP: 44 states and 14 events, so a union has many successor
+  // pairs and a stopped closure leaves most of them unread.
+  auto al = Alphabet::create();
+  std::vector<Dfsm> machines;
+  machines.push_back(make_mesi(al));
+  machines.push_back(make_tcp(al));
+  const CrossProduct cp = reachable_cross_product(machines);
+  ASSERT_EQ(cp.top.size(), 44u);
+  ASSERT_EQ(cp.top.events().size(), 14u);
+  EXPECT_GT(expect_pruning_lemma(cp.top, Partition::identity(44)), 0u);
+}
+
+/// (seed, event count) of a random 8-state machine.
+using SweepCase = std::tuple<std::uint64_t, std::uint32_t>;
+
 // Property sweep over random machines: the closure is closed, coarser than
 // the base, contains the requested pair, and is the *finest* such partition
 // (checked against every closed partition obtained by brute force on tiny
 // machines — here approximated: re-closing is a fixpoint and re-merging is
 // idempotent).
-class MergeClosureSweep : public ::testing::TestWithParam<std::uint64_t> {};
+class MergeClosureSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(MergeClosureSweep, ClosureProperties) {
+  const auto [seed, events] = GetParam();
   auto al = Alphabet::create();
   RandomDfsmSpec spec;
   spec.states = 8;
-  spec.num_events = 2;
-  spec.seed = GetParam();
+  spec.num_events = events;
+  spec.seed = seed;
   const Dfsm m = make_random_connected_dfsm(al, "m", spec);
   const Partition top = Partition::identity(m.size());
 
-  Xoshiro256 rng(GetParam() * 31 + 7);
+  Xoshiro256 rng(seed * 31 + 7);
   for (int trial = 0; trial < 10; ++trial) {
     const auto x = static_cast<State>(rng.below(m.size()));
     const auto y = static_cast<State>(rng.below(m.size()));
@@ -221,8 +253,10 @@ TEST_P(MergeClosureSweep, ClosureProperties) {
   EXPECT_GT(expect_pruning_lemma(m, top), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MergeClosureSweep,
-                         ::testing::Range<std::uint64_t>(1, 21));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MergeClosureSweep,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 21),
+                       ::testing::Values(2u, 5u, 8u)));
 
 }  // namespace
 }  // namespace ffsm

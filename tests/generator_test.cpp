@@ -162,6 +162,18 @@ TEST(Generator, SerialAndParallelProduceIdenticalFusions) {
             oracle_generate_fusion(ex.top, ex.originals(), serial).partitions);
 }
 
+/// The recover benchmark's top: MESI, TCP and the paper's machines A and B
+/// (176 states, 16 events).
+CrossProduct recover_top() {
+  auto alphabet = Alphabet::create();
+  std::vector<Dfsm> machines;
+  machines.push_back(make_mesi(alphabet));
+  machines.push_back(make_tcp(alphabet));
+  machines.push_back(make_paper_machine_a(alphabet));
+  machines.push_back(make_paper_machine_b(alphabet));
+  return reachable_cross_product(machines);
+}
+
 /// generate_fusion on `cp` against the oracle: once on the calling thread,
 /// then on a pool of each size in `threads` with an LRU cache of each
 /// capacity in `capacities`.
@@ -227,16 +239,46 @@ TEST(Generator, ParallelMatchesSerialAcrossPoliciesFaultsThreadsAndCaches) {
       expect_engine_matches_oracle(counters, 3, policy, {4u}, {1024u});
   }
   // recover fuses MESI, TCP and the paper's machines A and B at f = 2.
-  auto alphabet = Alphabet::create();
-  std::vector<Dfsm> machines;
-  machines.push_back(make_mesi(alphabet));
-  machines.push_back(make_tcp(alphabet));
-  machines.push_back(make_paper_machine_a(alphabet));
-  machines.push_back(make_paper_machine_b(alphabet));
-  const CrossProduct fused = reachable_cross_product(machines);
+  const CrossProduct fused = recover_top();
   ASSERT_EQ(fused.top.size(), 176u);
   expect_engine_matches_oracle(fused, 2, DescentPolicy::kFewestBlocks, {4u},
                                {1024u});
+}
+
+TEST(Generator, WorkCountsOnTheRecoverTop) {
+  // The work Algorithm 2 does on the recover benchmark's top, serially and
+  // on a pool. A closure's stop decision depends only on which blocks its
+  // full closure unites, so these counts move only if the evaluator stops
+  // a closure it must finish, or finishes one it may stop.
+  const CrossProduct cp = recover_top();
+  ASSERT_EQ(cp.top.size(), 176u);
+  ASSERT_EQ(cp.top.events().size(), 16u);
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  const Partition identity = Partition::identity(cp.top.size());
+  ThreadPool pool(4);
+  for (ThreadPool* on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(on != nullptr ? "on a 4-thread pool" : "serially");
+    obs::Obs cover_obs;
+    LowerCoverOptions cover_options;
+    cover_options.parallel = on != nullptr;
+    cover_options.pool = on;
+    cover_options.obs = &cover_obs;
+    EXPECT_EQ(lower_cover(cp.top, identity, cover_options).size(), 8u);
+    // 16 of the identity's 15,400 pair closures complete.
+    EXPECT_EQ(cover_obs.snapshot().counters["gen.closure_pruned"], 15'384u);
+
+    obs::Obs generate_obs;
+    GenerateOptions options;
+    options.f = 2;
+    options.parallel = on != nullptr;
+    options.pool = on;
+    options.obs = &generate_obs;
+    const FusionResult result = generate_fusion(cp.top, originals, options);
+    // Covers of 15,400, 8,646 and 3,828 pairs, 29 of them completed.
+    EXPECT_EQ(result.stats.closures_evaluated, 27'874u);
+    EXPECT_EQ(result.stats.descent_steps, 2u);
+    EXPECT_EQ(generate_obs.snapshot().counters["gen.closure_pruned"], 27'845u);
+  }
 }
 
 TEST(Generator, WarmRerunOnASharedCacheEvaluatesNoClosures) {

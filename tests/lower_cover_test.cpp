@@ -187,16 +187,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LowerCoverVsLattice,
 // because descent policies like kFirstFound are order-sensitive.
 
 TEST(DedupEquivalence, MatchesOracleOnCatalogProduct) {
-  const CrossProduct cp = ffsm::testing::counter_pair_product();
-  const Partition identity = Partition::identity(cp.top.size());
-
-  const auto expected = oracle_lower_cover(cp.top, identity);
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(lower_cover(cp.top, identity, run_on(nullptr)), expected);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(lower_cover(cp.top, identity, run_on(&pool)), expected)
-        << "threads=" << threads;
+  // Two 8-state counters (2 events), and MESI x TCP (44 states, 14 events).
+  auto al = Alphabet::create();
+  std::vector<Dfsm> protocols;
+  protocols.push_back(make_mesi(al));
+  protocols.push_back(make_tcp(al));
+  std::vector<CrossProduct> tops;
+  tops.push_back(ffsm::testing::counter_pair_product());
+  tops.push_back(reachable_cross_product(protocols));
+  for (const CrossProduct& cp : tops) {
+    SCOPED_TRACE(::testing::Message() << cp.top.size() << "-state top");
+    const Partition identity = Partition::identity(cp.top.size());
+    const auto expected = oracle_lower_cover(cp.top, identity);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(lower_cover(cp.top, identity, run_on(nullptr)), expected);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(lower_cover(cp.top, identity, run_on(&pool)), expected)
+          << "threads=" << threads;
+    }
   }
 }
 
@@ -232,17 +241,15 @@ TEST(DedupEquivalence, MatchesOracleWhenMaximalElementsSpanChunks) {
   EXPECT_EQ(lower_cover(m, identity, run_on(&pool)), expected);
 }
 
-/// (states, seed) of a random 3-event machine.
-using RandomTop = std::tuple<std::uint32_t, std::uint64_t>;
+/// (states, events, seed) of a random machine.
+using RandomTop = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
 
 class DedupEquivalenceRandom : public ::testing::TestWithParam<RandomTop> {};
 
 TEST_P(DedupEquivalenceRandom, MatchesOracleDownARandomLattice) {
   auto al = Alphabet::create();
   RandomDfsmSpec spec;
-  spec.states = std::get<0>(GetParam());
-  spec.num_events = 3;
-  spec.seed = std::get<1>(GetParam());
+  std::tie(spec.states, spec.num_events, spec.seed) = GetParam();
   const Dfsm m = make_random_connected_dfsm(al, "m", spec);
 
   ThreadPool pool(4);
@@ -287,10 +294,11 @@ TEST_P(DedupEquivalenceRandom, MatchesOracleDownARandomLattice) {
   }
 }
 
-/// Seeds 1-8 of a 10-state machine.
+/// Seeds 1-8 of a 10-state, 3-event machine.
 std::vector<RandomTop> small_tops() {
   std::vector<RandomTop> tops;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) tops.emplace_back(10, seed);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    tops.emplace_back(10, 3, seed);
   return tops;
 }
 
@@ -299,10 +307,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DedupEquivalenceRandom,
 
 // Tops of more than 64 blocks: the identity's 4,560 and 11,175 block pairs
 // span 3 and 6 of lower_cover's 2,048-pair chunks.
-const RandomTop kWideTops[] = {{96, 1}, {96, 2}, {150, 1}};
+const RandomTop kWideTops[] = {{96, 3, 1}, {96, 3, 2}, {150, 3, 1}};
 
 INSTANTIATE_TEST_SUITE_P(WideTops, DedupEquivalenceRandom,
                          ::testing::ValuesIn(kWideTops));
+
+// Many events: a union has 8 or 16 successor pairs, most of which a
+// stopped closure never reads. These random machines have only the
+// trivial closed partitions, so pair 0's closure is the single block and
+// every later pair stops; the 96-state tops do so across 3 chunks.
+// MatchesOracleOnCatalogProduct and generator_test's recover top cover
+// many-event tops with richer lattices.
+std::vector<RandomTop> many_event_tops() {
+  std::vector<RandomTop> tops;
+  for (const std::uint32_t states : {10u, 96u})
+    for (const std::uint32_t events : {8u, 16u})
+      for (const std::uint64_t seed : {1u, 2u})
+        tops.emplace_back(states, events, seed);
+  return tops;
+}
+
+INSTANTIATE_TEST_SUITE_P(ManyEvents, DedupEquivalenceRandom,
+                         ::testing::ValuesIn(many_event_tops()));
 
 TEST(LowerCoverCache, MemoizesWithoutChangingResults) {
   const ffsm::testing::CanonicalExample ex;

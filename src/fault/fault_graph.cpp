@@ -23,26 +23,31 @@ FaultGraph FaultGraph::build(std::uint32_t n,
 
   // Parallelise over rows i: each (i, *) stripe of the triangle is written
   // by exactly one chunk, accumulating all machines, so the result is
-  // deterministic and race-free.
-  const auto row = [&](std::size_t lo, std::size_t hi) {
+  // deterministic and race-free. The node count and the weight array are
+  // captured by value: read through a reference, a weight store could
+  // change either, and the stripe loop would not vectorize.
+  const std::size_t nodes = n;
+  std::uint32_t* const weights = g.weights_.data();
+  const auto rows = [=](std::size_t lo, std::size_t hi) {
+    std::uint32_t* stripe = weights + row_offset(lo, nodes);
     for (std::size_t i = lo; i < hi; ++i) {
-      const auto ui = static_cast<std::uint32_t>(i);
-      std::uint32_t* stripe = &g.weights_[g.edge_index(ui, ui + 1)];
+      const std::size_t len = nodes - i - 1;
       for (const Partition& p : machines) {
-        const auto assignment = p.assignment();
-        const std::uint32_t bi = assignment[i];
-        for (std::uint32_t j = ui + 1; j < n; ++j)
-          stripe[j - ui - 1] += (assignment[j] != bi) ? 1u : 0u;
+        const std::uint32_t* const row = p.assignment().data() + i;
+        const std::uint32_t bi = row[0];
+        for (std::size_t k = 0; k < len; ++k)
+          stripe[k] += (row[k + 1] != bi) ? 1u : 0u;
       }
+      stripe += len;
     }
   };
   if (options.parallel) {
     ParallelOptions popt;
     popt.pool = options.pool;
     popt.serial_threshold = 64;  // rows; each row is O(n * machines)
-    parallel_for_chunked(0, n - 1, row, popt);
+    parallel_for_chunked(0, nodes - 1, rows, popt);
   } else {
-    row(0, n - 1);
+    rows(0, nodes - 1);
   }
   g.machines_ = static_cast<std::uint32_t>(machines.size());
   g.edges_examined_ +=
@@ -52,33 +57,45 @@ FaultGraph FaultGraph::build(std::uint32_t n,
 }
 
 void FaultGraph::rescan_dmin() {
-  dmin_ = weights_.empty()
-              ? kInfinity
-              : *std::min_element(weights_.begin(), weights_.end());
-  edges_examined_ += weights_.size();
+  const std::uint32_t* const weights = weights_.data();
+  const std::size_t size = weights_.size();
+  std::uint32_t new_min = kInfinity;
+  for (std::size_t k = 0; k < size; ++k)
+    new_min = std::min(new_min, weights[k]);
+  dmin_ = new_min;
+  edges_examined_ += size;
   weakest_valid_ = false;
+}
+
+std::uint32_t FaultGraph::add_separated(const Partition& p,
+                                        std::uint32_t delta) {
+  const std::size_t n = n_;
+  const std::uint32_t* const a = p.assignment().data();
+  std::uint32_t* stripe = weights_.data();
+  std::uint32_t new_min = kInfinity;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::uint32_t* const row = a + i;
+    const std::uint32_t bi = row[0];
+    const std::size_t len = n - i - 1;
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::uint32_t w = stripe[k] + ((row[k + 1] != bi) ? delta : 0u);
+      stripe[k] = w;
+      new_min = std::min(new_min, w);
+    }
+    stripe += len;
+  }
+  return new_min;
 }
 
 void FaultGraph::add_machine(const Partition& p) {
   FFSM_EXPECTS(p.size() == n_);
-  const auto assignment = p.assignment();
   // Single delta pass: apply the +1s and re-derive dmin from the updated
   // weights as they stream by — dmin stays O(1) to read with no separate
   // scan. The weakest-edge list itself is derived lazily: hot loops that
   // only read dmin() between add/remove calls (the exhaustive DFS) must not
   // pay for materializing up to O(N^2) pairs per call.
-  std::uint32_t new_min = kInfinity;
-  std::size_t idx = 0;
-  for (std::uint32_t i = 0; i + 1 < n_; ++i) {
-    const std::uint32_t bi = assignment[i];
-    for (std::uint32_t j = i + 1; j < n_; ++j, ++idx) {
-      const std::uint32_t w =
-          (weights_[idx] += (assignment[j] != bi) ? 1u : 0u);
-      if (w < new_min) new_min = w;
-    }
-  }
+  dmin_ = add_separated(p, 1u);
   edges_examined_ += weights_.size();
-  dmin_ = new_min;
   weakest_valid_ = false;
   ++machines_;
 }
@@ -86,21 +103,24 @@ void FaultGraph::add_machine(const Partition& p) {
 void FaultGraph::remove_machine(const Partition& p) {
   FFSM_EXPECTS(p.size() == n_);
   FFSM_EXPECTS(machines_ > 0);
-  const auto assignment = p.assignment();
-  std::uint32_t new_min = kInfinity;
-  std::size_t idx = 0;
-  for (std::uint32_t i = 0; i + 1 < n_; ++i) {
-    const std::uint32_t bi = assignment[i];
-    for (std::uint32_t j = i + 1; j < n_; ++j, ++idx) {
-      if (assignment[j] != bi) {
-        FFSM_EXPECTS(weights_[idx] > 0);
-        weights_[idx] -= 1;
-      }
-      if (weights_[idx] < new_min) new_min = weights_[idx];
-    }
+  // Every edge the machine separates must have weight to give back. Check
+  // them all before writing any, so a machine that was never added leaves
+  // the graph as it was.
+  const std::size_t n = n_;
+  const std::uint32_t* const a = p.assignment().data();
+  const std::uint32_t* stripe = weights_.data();
+  std::uint32_t underflow = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::uint32_t* const row = a + i;
+    const std::uint32_t bi = row[0];
+    const std::size_t len = n - i - 1;
+    for (std::size_t k = 0; k < len; ++k)
+      underflow |= (row[k + 1] != bi) & (stripe[k] == 0);
+    stripe += len;
   }
+  FFSM_EXPECTS(underflow == 0);
+  dmin_ = add_separated(p, static_cast<std::uint32_t>(-1));
   edges_examined_ += weights_.size();
-  dmin_ = new_min;
   weakest_valid_ = false;
   --machines_;
 }
@@ -136,11 +156,24 @@ std::vector<std::size_t> FaultGraph::weight_histogram() const {
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
 FaultGraph::edges_with_weight(std::uint32_t w) const {
+  // A counting pass sizes the result, then a row-by-row pass lists it.
+  const std::uint32_t* const weights = weights_.data();
+  const std::size_t size = weights_.size();
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < size; ++k) count += (weights[k] == w) ? 1 : 0;
+
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  std::size_t idx = 0;
-  for (std::uint32_t i = 0; i + 1 < n_; ++i)
-    for (std::uint32_t j = i + 1; j < n_; ++j, ++idx)
-      if (weights_[idx] == w) edges.emplace_back(i, j);
+  edges.reserve(count);
+  const std::size_t n = n_;
+  const std::uint32_t* stripe = weights;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::size_t len = n - i - 1;
+    for (std::size_t k = 0; k < len; ++k)
+      if (stripe[k] == w)
+        edges.emplace_back(static_cast<std::uint32_t>(i),
+                           static_cast<std::uint32_t>(i + 1 + k));
+    stripe += len;
+  }
   return edges;
 }
 

@@ -16,6 +16,14 @@
 // keeping add/remove allocation-free for hot loops that only poll dmin
 // (exhaustive DFS). All passes — build, add, remove, and the lazy scans —
 // are counted by edges_examined() for the incremental-vs-rebuild ablation.
+//
+// Every pass walks the triangle row by row, through a pointer to the row's
+// first weight and a size_t row length computed from the node count read
+// into a local. The weights and the member n_ are both 32-bit unsigned, so
+// a loop bounded by n_ must reload it after every weight store, and GCC
+// then vectorizes none of these loops. With the local, the build, add and
+// remove passes (with their dmin minimum), the dmin rescan, remove's check
+// pass and the weakest-edge counting pass all vectorize at -O3.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +75,9 @@ class FaultGraph {
   void add_machine(const Partition& p);
 
   /// -1 on every edge the machine separates (exact inverse of add_machine;
-  /// the same partition must previously have been added).
+  /// the same partition must previously have been added). Throws
+  /// ContractViolation, leaving the graph unchanged, if some edge the
+  /// machine separates already weighs 0.
   void remove_machine(const Partition& p);
 
   /// Edge weight = the paper's distance d(ti, tj). Requires i != j.
@@ -78,10 +88,11 @@ class FaultGraph {
   [[nodiscard]] std::uint32_t dmin() const noexcept { return dmin_; }
 
   /// All edges of weight dmin() — the "weakest edges" driving Algorithm 2.
-  /// Derived by one scan on first call after a mutation, then memoized;
-  /// (i, j) lexicographic order. The lazy memo writes mutable state, so
-  /// unlike the other const members this is NOT safe to call concurrently
-  /// on a shared graph.
+  /// Derived on first call after a mutation by one scan, counted once in
+  /// edges_examined() (a counting pass, then a listing pass), then
+  /// memoized; (i, j) lexicographic order. The lazy memo writes mutable
+  /// state, so unlike the other const members this is NOT safe to call
+  /// concurrently on a shared graph.
   [[nodiscard]] const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
   weakest_edges() const;
 
@@ -102,12 +113,22 @@ class FaultGraph {
   [[nodiscard]] std::vector<std::size_t> weight_histogram() const;
 
  private:
+  /// Index of edge (i, i + 1), the first weight of row i, in the
+  /// row-major upper triangle of an n-node graph.
+  [[nodiscard]] static std::size_t row_offset(std::size_t i,
+                                              std::size_t n) noexcept {
+    return i * n - i * (i + 1) / 2;
+  }
+
   [[nodiscard]] std::size_t edge_index(std::uint32_t i,
                                        std::uint32_t j) const noexcept {
-    // i < j assumed; row-major upper triangle.
-    return static_cast<std::size_t>(i) * n_ -
-           static_cast<std::size_t>(i) * (i + 1) / 2 + (j - i - 1);
+    // i < j assumed.
+    return row_offset(i, n_) + (j - i - 1);
   }
+
+  /// Adds `delta` (1, or -1 modulo 2^32) to every edge `p` separates and
+  /// returns the new minimum weight.
+  std::uint32_t add_separated(const Partition& p, std::uint32_t delta);
 
   /// Recomputes dmin_ with one serial scan and invalidates the weakest-edge
   /// cache; used after bulk weight writes (build).

@@ -14,33 +14,26 @@ namespace {
 bool covers_all(const Partition& p,
                 std::span<const std::pair<std::uint32_t, std::uint32_t>>
                     edges) {
+  const std::span<const std::uint32_t> block = p.assignment();
   for (const auto& [i, j] : edges)
-    if (!p.separates(i, j)) return false;
+    if (block[i] == block[j]) return false;
   return true;
 }
 
-/// Applies the descent policy to the viable candidates; `viable` is
-/// non-empty.
-std::size_t pick(const std::vector<const Partition*>& viable,
-                 DescentPolicy policy) {
+/// True iff `candidate`, if viable, is the policy's pick over `best`, the
+/// viable candidate picked so far. Ties keep the earlier candidate.
+bool beats(const Partition& candidate, const Partition& best,
+           DescentPolicy policy) {
   switch (policy) {
     case DescentPolicy::kFirstFound:
-      return 0;
-    case DescentPolicy::kFewestBlocks: {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < viable.size(); ++i)
-        if (viable[i]->block_count() < viable[best]->block_count()) best = i;
-      return best;
-    }
-    case DescentPolicy::kMostBlocks: {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < viable.size(); ++i)
-        if (viable[i]->block_count() > viable[best]->block_count()) best = i;
-      return best;
-    }
+      return false;
+    case DescentPolicy::kFewestBlocks:
+      return candidate.block_count() < best.block_count();
+    case DescentPolicy::kMostBlocks:
+      return candidate.block_count() > best.block_count();
   }
   FFSM_ASSERT(false);
-  return 0;
+  return false;
 }
 
 }  // namespace
@@ -94,11 +87,14 @@ FusionResult generate_fusion(const Dfsm& top,
       else
         result.stats.closures_evaluated +=
             static_cast<std::uint64_t>(blocks) * (blocks - 1) / 2;
-      std::vector<const Partition*> viable;
+      // Only a candidate that would be the policy's pick is tested.
+      const Partition* next = nullptr;
       for (const Partition& c : *cover)
-        if (covers_all(c, weakest)) viable.push_back(&c);
-      if (viable.empty()) break;
-      current = *viable[pick(viable, options.policy)];
+        if ((next == nullptr || beats(c, *next, options.policy)) &&
+            covers_all(c, weakest))
+          next = &c;
+      if (next == nullptr) break;
+      current = *next;
       ++result.stats.descent_steps;
     }
 

@@ -10,6 +10,18 @@ namespace ffsm {
 Partition::Partition(std::vector<std::uint32_t> assignment)
     : block_of_(std::move(assignment)) {
   FFSM_EXPECTS(!block_of_.empty());
+  // Input already numbered by first occurrence (every wire frame,
+  // identity(), every canonical closure) has each tag either a block seen
+  // before or the next new one, and keeps its numbers.
+  std::uint32_t next = 0;
+  std::size_t i = 0;
+  for (; i < block_of_.size() && block_of_[i] <= next; ++i)
+    next += (block_of_[i] == next) ? 1u : 0u;
+  if (i == block_of_.size()) {
+    num_blocks_ = next;
+    return;
+  }
+
   std::unordered_map<std::uint32_t, std::uint32_t> remap;
   remap.reserve(block_of_.size());
   for (auto& b : block_of_) {

@@ -23,7 +23,8 @@ class Partition {
   Partition() = default;
 
   /// Builds from an arbitrary block assignment (tags need not be dense);
-  /// normalizes to first-occurrence numbering.
+  /// normalizes to first-occurrence numbering. One read-only pass when the
+  /// input is already normalized; otherwise a hash-map renumbering.
   explicit Partition(std::vector<std::uint32_t> assignment);
 
   /// Identity partition: every element its own block (the paper's top).

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fsm/random_dfsm.hpp"
 #include "test_support.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ffsm {
@@ -86,6 +90,24 @@ TEST(FaultGraph, RemoveFromEmptyThrows) {
   const CanonicalExample ex;
   FaultGraph g(4);
   EXPECT_THROW(g.remove_machine(ex.p_a), ContractViolation);
+}
+
+TEST(FaultGraph, FailedRemoveLeavesTheGraphUnchanged) {
+  // {0}{1}{2,3} leaves edge (2,3) at weight 0, and the identity, never
+  // added, separates it: the remove must throw before it writes a weight.
+  FaultGraph g(4);
+  g.add_machine(pt({0, 1, 2, 2}));
+  const std::uint64_t examined = g.edges_examined();
+  EXPECT_THROW(g.remove_machine(Partition::identity(4)), ContractViolation);
+  for (std::uint32_t i = 0; i < 4; ++i)
+    for (std::uint32_t j = i + 1; j < 4; ++j)
+      EXPECT_EQ(g.weight(i, j), (i == 2 && j == 3) ? 0u : 1u)
+          << "edge " << i << "," << j;
+  EXPECT_EQ(g.dmin(), 0u);
+  EXPECT_EQ(g.machine_count(), 1u);
+  EXPECT_EQ(g.edges_examined(), examined);
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> weakest{{2, 3}};
+  EXPECT_EQ(g.weakest_edges(), weakest);
 }
 
 TEST(FaultGraph, MismatchedPartitionSizeThrows) {
@@ -182,6 +204,105 @@ TEST(FaultGraph, WeightNeverExceedsMachineCount) {
   for (std::uint32_t i = 0; i < 4; ++i)
     for (std::uint32_t j = i + 1; j < 4; ++j)
       EXPECT_LE(g.weight(i, j), machines.size());
+}
+
+/// A random partition of n elements: usually a random number of blocks,
+/// sometimes the identity or a single block.
+Partition random_machine(std::uint32_t n, Xoshiro256& rng) {
+  switch (rng.below(8)) {
+    case 0:
+      return Partition::identity(n);
+    case 1:
+      return Partition::single_block(n);
+    default: {
+      std::vector<std::uint32_t> assignment(n);
+      const auto blocks = 1 + rng.below(n);
+      for (auto& a : assignment)
+        a = static_cast<std::uint32_t>(rng.below(blocks));
+      return Partition(std::move(assignment));
+    }
+  }
+}
+
+/// `g` against Definition 3, computed from Partition::separates alone:
+/// every weight, dmin(), weakest_edges() in (i, j) lexicographic order, and
+/// the edges_examined() a first and a memoized weakest-edge read add.
+void expect_matches_definition(const FaultGraph& g, std::uint32_t n,
+                               const std::vector<Partition>& machines) {
+  ASSERT_EQ(g.node_count(), n);
+  ASSERT_EQ(g.machine_count(), machines.size());
+  std::uint32_t dmin = FaultGraph::kInfinity;
+  std::vector<std::uint32_t> weights;
+  std::size_t wrong = 0;
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      std::uint32_t w = 0;
+      for (const Partition& p : machines) w += p.separates(i, j) ? 1u : 0u;
+      wrong += (g.weight(i, j) != w) ? 1 : 0;
+      weights.push_back(w);
+      dmin = std::min(dmin, w);
+    }
+  EXPECT_EQ(wrong, 0u) << "edges of the wrong weight";
+  EXPECT_EQ(g.dmin(), dmin);
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> weakest;
+  std::size_t k = 0;
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (std::uint32_t j = i + 1; j < n; ++j)
+      if (weights[k++] == dmin) weakest.emplace_back(i, j);
+  const std::uint64_t before = g.edges_examined();
+  EXPECT_EQ(g.weakest_edges(), weakest);
+  const std::uint64_t scan = dmin == FaultGraph::kInfinity ? 0 : k;
+  EXPECT_EQ(g.edges_examined(), before + scan);
+  EXPECT_EQ(g.weakest_edges(), weakest);
+  EXPECT_EQ(g.edges_examined(), before + scan);  // memoized
+}
+
+TEST(FaultGraph, MatchesTheDefinitionOnRandomGraphs) {
+  // Up to 300 nodes: rows long enough for whole vector bodies and
+  // remainders, and enough rows for build to split into parallel chunks.
+  // Each graph is built serially and on a pool, then driven through random
+  // adds and removes; every state must equal the definition.
+  Xoshiro256 rng(29);
+  ThreadPool pool(3);
+  for (int trial = 0; trial < 24; ++trial) {
+    auto n = static_cast<std::uint32_t>(trial);
+    if (trial >= 4) n = static_cast<std::uint32_t>(2 + rng.below(299));
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ", n " << n);
+    std::vector<Partition> machines;
+    if (n > 0) {
+      const auto count = rng.below(5);
+      for (std::uint64_t m = 0; m < count; ++m)
+        machines.push_back(random_machine(n, rng));
+    }
+    const std::uint64_t edges = n < 2 ? 0 : std::uint64_t{n} * (n - 1) / 2;
+    const std::uint64_t build_examined =
+        machines.empty() ? 0 : (machines.size() + 1) * edges;
+
+    const FaultGraphOptions on_caller{.pool = nullptr, .parallel = false};
+    const FaultGraphOptions on_pool{.pool = &pool, .parallel = true};
+    const FaultGraph serial = FaultGraph::build(n, machines, on_caller);
+    EXPECT_EQ(serial.edges_examined(), build_examined);
+    expect_matches_definition(serial, n, machines);
+    FaultGraph g = FaultGraph::build(n, machines, on_pool);
+    EXPECT_EQ(g.edges_examined(), build_examined);
+    expect_matches_definition(g, n, machines);
+    if (n == 0) continue;
+
+    for (int step = 0; step < 6; ++step) {
+      const std::uint64_t before = g.edges_examined();
+      if (!machines.empty() && rng.below(2) == 0) {
+        const std::size_t victim = rng.below(machines.size());
+        g.remove_machine(machines[victim]);
+        machines.erase(machines.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        machines.push_back(random_machine(n, rng));
+        g.add_machine(machines.back());
+      }
+      EXPECT_EQ(g.edges_examined(), before + edges);
+      expect_matches_definition(g, n, machines);
+    }
+  }
 }
 
 TEST(FaultGraph, DminAndWeakestEdgesMaintainedAcrossAddRemove) {

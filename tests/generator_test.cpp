@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <vector>
 
@@ -17,6 +18,7 @@ namespace {
 
 using testing::CanonicalExample;
 using testing::oracle_generate_fusion;
+using testing::oracle_lower_cover;
 
 TEST(Generator, PaperWalkthroughFEquals1YieldsM6) {
   // Section 5.1: descending TOP -> M1 -> M6; "M6 is added to the fusion
@@ -217,6 +219,39 @@ void expect_engine_matches_oracle(
   }
 }
 
+/// The steps of the first descent `policy` takes on `cp` at which two or
+/// more viable lower-cover candidates share the block count the policy
+/// picks by, walked from the definitions as the oracle walks them.
+std::uint32_t tied_steps(const CrossProduct& cp, DescentPolicy policy) {
+  const std::vector<Partition> originals = testing::component_partitions(cp);
+  const FaultGraph graph = FaultGraph::build(cp.top.size(), originals);
+  const auto& weakest = graph.weakest_edges();
+  const auto separates_all = [&](const Partition& c) {
+    for (const auto& [i, j] : weakest)
+      if (!c.separates(i, j)) return false;
+    return true;
+  };
+  const auto by_blocks = [](const Partition& a, const Partition& b) {
+    return a.block_count() < b.block_count();
+  };
+  std::uint32_t ties = 0;
+  Partition current = Partition::identity(cp.top.size());
+  while (true) {
+    std::vector<Partition> viable;
+    for (Partition& c : oracle_lower_cover(cp.top, current))
+      if (separates_all(c)) viable.push_back(std::move(c));
+    if (viable.empty()) return ties;
+    auto pick = std::min_element(viable.begin(), viable.end(), by_blocks);
+    if (policy == DescentPolicy::kMostBlocks)
+      pick = std::max_element(viable.begin(), viable.end(), by_blocks);
+    std::size_t sharing = 0;
+    for (const Partition& c : viable)
+      if (c.block_count() == pick->block_count()) ++sharing;
+    if (sharing > 1) ++ties;
+    current = *pick;
+  }
+}
+
 TEST(Generator, ParallelMatchesSerialAcrossPoliciesFaultsThreadsAndCaches) {
   // The engine on one thread and on pools, with LRU caches small enough to
   // evict mid-descent, against the oracle: Algorithm 2 rebuilt from the
@@ -243,6 +278,19 @@ TEST(Generator, ParallelMatchesSerialAcrossPoliciesFaultsThreadsAndCaches) {
   ASSERT_EQ(fused.top.size(), 176u);
   expect_engine_matches_oracle(fused, 2, DescentPolicy::kFewestBlocks, {4u},
                                {1024u});
+
+  // Two mod-4 counters at f = 1: below the partition that joins x with
+  // x + (2, 2), the partitions by n0 + n1 and by n0 - n1 (mod 4) are both
+  // viable, with 4 blocks each. The engine must break such ties as the
+  // oracle does, for the earlier candidate.
+  const CrossProduct tied = testing::counter_pair_product(4);
+  EXPECT_GT(tied_steps(tied, DescentPolicy::kFewestBlocks), 0u);
+  EXPECT_GT(tied_steps(tied, DescentPolicy::kMostBlocks), 0u);
+  for (const DescentPolicy policy :
+       {DescentPolicy::kFirstFound, DescentPolicy::kFewestBlocks,
+        DescentPolicy::kMostBlocks})
+    for (const std::uint32_t f : {1u, 2u, 3u})
+      expect_engine_matches_oracle(tied, f, policy, {1u, 4u}, {2u, 1024u});
 }
 
 TEST(Generator, WorkCountsOnTheRecoverTop) {

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <numeric>
+#include <set>
+#include <vector>
+
 #include "test_support.hpp"
 #include "util/contracts.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace ffsm {
 namespace {
@@ -60,6 +69,90 @@ TEST(Partition, HashAgreesOnEqualPartitions) {
   const Partition a = pt({0, 1, 0});
   const Partition b = Partition(std::vector<std::uint32_t>{4, 2, 4});
   EXPECT_EQ(a.hash(), b.hash());
+}
+
+/// The normalizer's definition: number tags by first occurrence through a
+/// std::map.
+std::vector<std::uint32_t> map_renumbered(
+    const std::vector<std::uint32_t>& tags) {
+  std::map<std::uint32_t, std::uint32_t> number;
+  std::vector<std::uint32_t> out;
+  out.reserve(tags.size());
+  for (const std::uint32_t t : tags) {
+    const auto next = static_cast<std::uint32_t>(number.size());
+    out.push_back(number.emplace(t, next).first->second);
+  }
+  return out;
+}
+
+/// The partition of `tags` must match map_renumbered element for element,
+/// in block count and in hash.
+void expect_renumbered(const std::vector<std::uint32_t>& tags) {
+  const std::vector<std::uint32_t> expected = map_renumbered(tags);
+  const Partition p(tags);
+  ASSERT_TRUE(std::ranges::equal(p.assignment(), expected));
+  const std::set<std::uint32_t> distinct(tags.begin(), tags.end());
+  EXPECT_EQ(p.block_count(), distinct.size());
+  EXPECT_EQ(p.hash(), fnv1a(expected));
+}
+
+TEST(Partition, NormalizerMatchesAMapRenumberingOnEveryPath) {
+  // Three kinds of input: tags already numbered by first occurrence (the
+  // constructor keeps them after one read-only pass), dense tags below
+  // twice the element count in another order, and sparse tags up to
+  // 0xFFFFFFFF (both renumbered through the hash map).
+  Xoshiro256 rng(41);
+  int renumbered[3] = {0, 0, 0};
+  for (int trial = 0; trial < 600; ++trial) {
+    const int kind = trial % 3;
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    const auto n = static_cast<std::uint32_t>(1 + rng.below(300));
+    const auto blocks = static_cast<std::uint32_t>(1 + rng.below(n));
+    std::vector<std::uint32_t> tags(n);
+    for (auto& t : tags) t = static_cast<std::uint32_t>(rng.below(blocks));
+    tags = map_renumbered(tags);
+    std::vector<std::uint32_t> image(blocks);
+    if (kind == 1) {
+      // Distinct tags drawn from [0, 2n).
+      std::vector<std::uint32_t> pool(2 * n);
+      std::iota(pool.begin(), pool.end(), 0u);
+      std::shuffle(pool.begin(), pool.end(), rng);
+      std::copy_n(pool.begin(), blocks, image.begin());
+    } else if (kind == 2) {
+      // Distinct 32-bit tags; the first block takes the largest.
+      std::set<std::uint32_t> used{0xFFFFFFFFu};
+      image[0] = 0xFFFFFFFFu;
+      for (std::uint32_t b = 1; b < blocks; ++b) {
+        std::uint32_t tag = 0;
+        do {
+          tag = static_cast<std::uint32_t>(rng() >> 32);
+        } while (!used.insert(tag).second);
+        image[b] = tag;
+      }
+    }
+    if (kind != 0)
+      for (auto& t : tags) t = image[t];
+    if (tags != map_renumbered(tags)) ++renumbered[kind];
+    expect_renumbered(tags);
+  }
+  // The already numbered kind never renumbers; the others nearly always do.
+  EXPECT_EQ(renumbered[0], 0);
+  EXPECT_GT(renumbered[1], 150);
+  EXPECT_EQ(renumbered[2], 200);
+}
+
+TEST(Partition, NormalizerBoundaryTags) {
+  // The read-only pass must hand over to the hash map at the first tag
+  // that skips a number, wherever it stands: first, last, or after a
+  // numbered prefix. Every input must agree with the definition.
+  expect_renumbered({0});
+  expect_renumbered({0, 1, 2, 1, 0});
+  expect_renumbered({0xFFFFFFFFu});
+  expect_renumbered({1});
+  expect_renumbered({0, 1, 2, 4});
+  expect_renumbered({0, 0, 1, 3, 2});
+  expect_renumbered({0, 1, 0xFFFFFFFFu, 1});
+  expect_renumbered({1, 0, 0xFFFFFFFFu, 1});
 }
 
 // Order semantics (paper: P1 <= P2 iff each block of P2 inside a block of

@@ -570,6 +570,25 @@ TEST(WireCodec, OutOfRangePolicyBytesThrow) {
   expect_rejected(request_frame(3), "unknown descent policy byte");
 }
 
+// The worker's trust boundary: a partition's tags arrive as any 32-bit
+// values, so no tag may size an allocation in the normalizer. Tags up to
+// 0xFFFFFFFF must decode to the partitions small tags give.
+TEST(WireRequestCodec, HugePartitionTagsDecodeToNormalizedPartitions) {
+  Payload payload;
+  payload.u64(7).str("client").u32(1).u8(0).u32(3);
+  payload.u32(4).u32(0xFFFFFFFFu).u32(3).u32(0xFFFFFFFFu).u32(0);
+  payload.u32(3).u32(0xFFFFFFFFu).u32(0xFFFFFFFFu).u32(0xFFFFFFFFu);
+  payload.u32(3).u32(0).u32(0xFFFFFFFFu).u32(0x80000000u);
+  WireCodec codec;
+  const Frame frame = codec.decode(payload.frame(FrameType::kRequest));
+  const std::vector<Partition>& originals = frame.request.request.originals;
+  ASSERT_EQ(originals.size(), 3u);
+  EXPECT_EQ(originals[0], testing::pt({0, 1, 0, 2}));
+  EXPECT_EQ(originals[0].block_count(), 3u);
+  EXPECT_EQ(originals[1], Partition::single_block(3));
+  EXPECT_EQ(originals[2], Partition::identity(3));
+}
+
 TEST(WireMachines, SelfContainedTextReproducesEventIds) {
   // The wire depends on fsm/serialize's alphabet header: a standalone
   // parse must reproduce the sender's EventId assignment (and with it the

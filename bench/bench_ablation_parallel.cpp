@@ -1,7 +1,8 @@
-// Ablation E18: thread-pool fan-out of the two parallel hot paths —
-// fault-graph construction (rows of the triangular weight matrix) and
-// lower-cover evaluation (independent merge closures). Sweeps explicit pool
-// sizes so the speedup curve is visible on one machine.
+// Ablation E18: thread-pool fan-out of fault-graph construction (rows of
+// the triangular weight matrix), swept over explicit pool sizes so the
+// speedup curve is visible on one machine. The lower cover beside it runs
+// its sink search serially at every pool size (only its maximality filter
+// takes the pool), and must come out the same at each.
 #include "bench_support.hpp"
 
 #include "fault/fault_graph.hpp"
@@ -43,7 +44,7 @@ void report() {
   const auto parts = random_partitions(2048, 16, 9);
 
   std::vector<Partition> serial_cover;
-  TextTable table({"threads", "lower_cover(256-top) ms",
+  TextTable table({"threads", "lower_cover(256-top) ms, serial search",
                    "fault graph(2048,16) ms"});
   for (const std::size_t threads : {1u, 2u, 4u, 8u, 16u}) {
     ThreadPool pool(threads);
@@ -75,46 +76,45 @@ void report() {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  // Closure evaluator ablation: the oracle (tests/oracle.hpp: a fresh
-  // merge_closure per block pair, then dedup and a naive maximality filter,
-  // on the calling thread) against lower_cover (one seeded union-find
-  // restored per pair, a pair's closure stopped once it unites an earlier
-  // pair's blocks, inline dedup) on a 4-thread pool. Covers must stay
-  // bit-identical.
-  std::printf("== Ablation: oracle vs fused closure evaluation ==\n");
+  // Lower-cover ablation: the oracle (tests/oracle.hpp: a fresh
+  // merge_closure per block pair, then dedup and a naive maximality filter)
+  // against lower_cover (a sink-component search over the block-pair graph
+  // that closes one pair per sink), both on the calling thread. Covers must
+  // stay bit-identical.
+  std::printf("== Ablation: oracle vs sink-search lower cover ==\n");
   {
-    ThreadPool pool(4);
-    LowerCoverOptions fused;
-    fused.pool = &pool;
+    LowerCoverOptions serial;
+    serial.parallel = false;
 
     std::vector<Partition> oracle_result;
-    std::vector<Partition> fused_result;
+    std::vector<Partition> search_result;
     const double oracle_ms = json.measure_ms(
         "evaluator_oracle",
         [&] {
           oracle_result = ffsm::testing::oracle_lower_cover(top, identity);
         },
         3, 1);
-    const double fused_ms = json.measure_ms(
-        "evaluator_fused_t4",
-        [&] { fused_result = lower_cover(top, identity, fused); }, 3, 1);
-    bench::require(oracle_result == fused_result,
-                   "fused evaluator emits bit-identical covers");
+    const double search_ms = json.measure_ms(
+        "evaluator_sink_search",
+        [&] { search_result = lower_cover(top, identity, serial); }, 3, 1);
+    bench::require(oracle_result == search_result,
+                   "sink search emits bit-identical covers");
 
     obs::Obs obs;
-    fused.obs = &obs;
-    (void)lower_cover(top, identity, fused);
-    const std::uint64_t pruned = obs.snapshot().counters["gen.closure_pruned"];
+    serial.obs = &obs;
+    (void)lower_cover(top, identity, serial);
+    const std::uint64_t sinks =
+        obs.snapshot().counters["gen.sink_components"];
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(top.size()) * (top.size() - 1) / 2;
-    const double speedup = fused_ms > 0 ? oracle_ms / fused_ms : 0.0;
-    std::printf("lower_cover(256-top): oracle %.2f ms, fused @4 threads "
-                "%.2f ms (%.2fx); fused stopped %llu of %llu pair "
-                "closures early\n\n",
-                oracle_ms, fused_ms, speedup,
-                static_cast<unsigned long long>(pruned),
+    const double speedup = search_ms > 0 ? oracle_ms / search_ms : 0.0;
+    std::printf("lower_cover(256-top): oracle %.2f ms, sink search %.2f ms "
+                "(%.2fx); %llu sink components among %llu pairs, one "
+                "closure each\n\n",
+                oracle_ms, search_ms, speedup,
+                static_cast<unsigned long long>(sinks),
                 static_cast<unsigned long long>(pairs));
-    json.add_metric("evaluator", "fused_speedup_t4", speedup);
+    json.add_metric("evaluator", "sink_search_speedup", speedup);
   }
 
   // Batched multi-client fan-out: many fusion requests sharing one top,
@@ -165,21 +165,6 @@ void report() {
   }
 }
 
-void lower_cover_threads(benchmark::State& state) {
-  const Dfsm top = big_counter_top();
-  const Partition identity = Partition::identity(top.size());
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  LowerCoverOptions options;
-  options.pool = &pool;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(lower_cover(top, identity, options));
-}
-BENCHMARK(lower_cover_threads)
-    ->RangeMultiplier(2)
-    ->Range(1, 16)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void fault_graph_threads(benchmark::State& state) {
   const auto parts = random_partitions(2048, 16, 9);
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -195,7 +180,8 @@ BENCHMARK(fault_graph_threads)
     ->UseRealTime();
 
 void serial_vs_parallel_generation(benchmark::State& state) {
-  // End-to-end Algorithm 2 with and without parallel lower covers.
+  // End-to-end Algorithm 2 with and without the pool (fault-graph build
+  // and maximality filters).
   const CrossProduct cp = bench::counter_pair_product(12);
   const auto originals = bench::original_partitions(cp);
   GenerateOptions options;

@@ -7,8 +7,13 @@
 // visible directly in the benchmark output.
 #include "bench_support.hpp"
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <thread>
 
 #include "fsm/random_dfsm.hpp"
@@ -73,10 +78,32 @@ double log_log_slope(const std::vector<std::pair<double, double>>& points) {
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
 }
 
+/// Peak resident set, in MB, of a child process forked to run `work` once:
+/// the row's own peak rather than the bench's running maximum. The child
+/// starts with this process's resident pages, so small rows read about
+/// the bench's own footprint.
+template <typename Work>
+double child_peak_rss_mb(Work&& work) {
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid == 0) {
+    work();
+    _exit(0);
+  }
+  int status = 0;
+  rusage usage{};
+  bench::require(pid > 0 && wait4(pid, &status, 0, &usage) == pid &&
+                     WIFEXITED(status) && WEXITSTATUS(status) == 0,
+                 "peak-RSS child ran to completion");
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KB
+}
+
 /// Cold generate_fusion at f=2 (private cache, so every cover is computed)
 /// on three top families, at 1 and 4 threads: how the identity's lower
-/// cover, which dominates cold generation, grows with the top. A report,
-/// not a gate: only bit-identity across thread counts is checked.
+/// cover, which dominates cold generation, grows with the top, and the
+/// peak memory of one run. The cover's sink search is serial; the pool
+/// runs the fault-graph build and the maximality filter. A report, not a
+/// gate: only bit-identity across thread counts is checked.
 void report_cold_scaling(bench::JsonReporter& json) {
   std::printf("== Cold Algorithm 2 scaling (f=2, private cache) ==\n");
   struct Family {
@@ -88,31 +115,37 @@ void report_cold_scaling(bench::JsonReporter& json) {
   for (const std::size_t count : {4u, 5u, 6u})
     families[0].tops.push_back(catalog_top(count));
   families[1].name = "counters";
-  for (const std::uint32_t k : {16u, 32u})
+  for (const std::uint32_t k : {16u, 32u, 64u})
     families[1].tops.push_back(bench::counter_pair_product(k));
   families[2].name = "random";
   families[2].tops.push_back(random_pair_product(27, 2, 1));  // 500 states
   families[2].tops.push_back(random_pair_product(55, 2, 1));  // 1,994
 
-  TextTable table({"family", "|top|", "threads", "ms", "pairs evaluated",
-                   "pairs stopped"});
+  TextTable table({"family", "|top|", "threads", "ms", "pairs classified",
+                   "sink components", "peak RSS MB"});
   std::vector<std::string> exponents;
   for (const Family& family : families) {
     std::vector<std::pair<double, double>> points[2];  // 1 and 4 threads
     for (const CrossProduct& cp : family.tops) {
       const auto originals = bench::original_partitions(cp);
       const std::string top = family.name + std::to_string(cp.top.size());
-      // The 3,168-state top takes seconds per run: 4 threads, one run.
+      // The 3,168- and 4,096-state tops run once: 0.2-0.7 s a run.
       const bool largest = cp.top.size() > 3000;
       std::vector<Partition> first;
       for (const std::uint32_t threads : {1u, 4u}) {
-        if (largest && threads == 1) continue;
+        const double rss_mb = child_peak_rss_mb([&] {
+          ThreadPool pool(threads);
+          GenerateOptions options;
+          options.f = 2;
+          options.pool = &pool;
+          (void)generate_fusion(cp.top, originals, options);
+        });
         ThreadPool pool(threads);
         GenerateOptions options;
         options.f = 2;
         options.pool = &pool;
         FusionResult result;
-        std::uint64_t stopped = 0;
+        std::uint64_t sinks = 0;
         const std::string label =
             "cold_scaling_" + top + "_" + std::to_string(threads) + "t";
         const double ms = json.measure_ms(
@@ -121,16 +154,17 @@ void report_cold_scaling(bench::JsonReporter& json) {
               obs::Obs obs;
               options.obs = &obs;
               result = generate_fusion(cp.top, originals, options);
-              stopped = obs.snapshot().counters["gen.closure_pruned"];
+              sinks = obs.snapshot().counters["gen.sink_components"];
             },
             largest ? 1 : 3, 0);
         json.add_metric(label, "pairs_evaluated",
                         static_cast<double>(result.stats.closures_evaluated));
-        json.add_metric(label, "pairs_stopped", static_cast<double>(stopped));
+        json.add_metric(label, "sink_components", static_cast<double>(sinks));
+        json.add_metric(label, "peak_rss_mb", rss_mb);
         table.add_row({family.name, std::to_string(cp.top.size()),
                        std::to_string(threads), fmt2(ms),
                        with_thousands(result.stats.closures_evaluated),
-                       with_thousands(stopped)});
+                       with_thousands(sinks), fmt2(rss_mb)});
         points[threads == 1 ? 0 : 1].emplace_back(cp.top.size(), ms);
         if (first.empty()) {
           first = result.partitions;
@@ -176,11 +210,12 @@ void report() {
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf(
-      "== Catalog machines, f=2: serial vs parallel thread sweep ==\n");
+      "== Catalog machines, f=2: serial vs pooled thread sweep ==\n");
   std::printf("hardware_concurrency=%u\n",
               std::thread::hardware_concurrency());
-  // Two 16-state catalog counters, 256-state top: big enough that the
-  // identity partition's lower cover (C(256,2) closures) dominates.
+  // Two 16-state catalog counters, 256-state top. Each lower cover's sink
+  // search is serial at every thread count; the pool runs the fault-graph
+  // build and the covers' maximality filters.
   const CrossProduct cp = bench::counter_pair_product(16);
   const auto originals = bench::original_partitions(cp);
 
@@ -195,7 +230,7 @@ void report() {
       [&] { serial_result = generate_fusion(cp.top, originals, serial); },
       3, 1);
 
-  TextTable sweep({"threads", "ms", "speedup", "closures"});
+  TextTable sweep({"threads", "ms", "speedup", "pairs classified"});
   sweep.add_row({"serial", fmt2(serial_ms), "1.00x",
                  std::to_string(serial_result.stats.closures_evaluated)});
   // Clamp the sweep to the machine: sweeping 8 threads on a

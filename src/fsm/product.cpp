@@ -79,16 +79,16 @@ CrossProduct reachable_cross_product(std::span<const Dfsm> machines,
                           std::shared_ptr<const Alphabet>(alphabet)));
   for (const EventId e : events) builder.event(alphabet->name(e));
 
-  const auto intern_tuple = [&](std::vector<State> tuple) -> State {
-    const auto [it, inserted] = ids.emplace(std::move(tuple), State{0});
-    if (inserted) {
-      const auto t = static_cast<State>(result.tuples.size());
-      it->second = t;
-      result.tuples.push_back(it->first);
-      const State built = builder.state("t" + std::to_string(t));
-      FFSM_ASSERT(built == t);
-    }
-    return it->second;
+  // Looked up by reference: only a new tuple is copied, into the map and
+  // into result.tuples.
+  const auto intern_tuple = [&](const std::vector<State>& tuple) -> State {
+    if (const auto it = ids.find(tuple); it != ids.end()) return it->second;
+    const auto t = static_cast<State>(result.tuples.size());
+    ids.emplace(tuple, t);
+    result.tuples.push_back(tuple);
+    const State built = builder.state("t" + std::to_string(t));
+    FFSM_ASSERT(built == t);
+    return t;
   };
 
   const State t0 = intern_tuple(initial);

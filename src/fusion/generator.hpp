@@ -50,8 +50,9 @@ struct GenerateOptions {
   /// Crash faults to tolerate (use 2*f here to tolerate f Byzantine faults).
   std::uint32_t f = 1;
   DescentPolicy policy = DescentPolicy::kFewestBlocks;
-  /// Fan lower-cover closure evaluation out across the thread pool; false
-  /// evaluates on the calling thread. Results are identical either way.
+  /// Fan the fault-graph build and each lower cover's maximality filter
+  /// out across the thread pool; false runs them on the calling thread.
+  /// Results are identical either way.
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Optional lower-cover memo shared across calls; must be dedicated to
@@ -78,11 +79,12 @@ struct GenerateStats {
   std::uint32_t descent_steps = 0;
   /// Total lower-cover candidate partitions examined.
   std::uint64_t candidates_examined = 0;
-  /// Block pairs examined by the lower covers actually computed (cache
-  /// misses): B*(B-1)/2 per cover of a B-block partition, including pairs
-  /// whose closure the fused evaluator stopped early (counted by the
-  /// `gen.closure_pruned` obs counter). The memo's saving shows up as
-  /// candidates_examined >> closures_evaluated.
+  /// Block pairs classified by the lower covers actually computed (cache
+  /// misses): B*(B-1)/2 per cover of a B-block partition, since the sink
+  /// search places every pair in a sink component or marks it dead. Only
+  /// one pair per sink is closed (the `gen.sink_components` obs counter).
+  /// The memo's saving shows up as candidates_examined >>
+  /// closures_evaluated.
   std::uint64_t closures_evaluated = 0;
   /// Lower-cover calls served entirely from the memo.
   std::uint64_t cover_cache_hits = 0;

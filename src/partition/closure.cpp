@@ -1,7 +1,6 @@
 #include "partition/closure.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -108,43 +107,21 @@ Partition merge_closure(const Dfsm& machine, const Partition& p,
   return result;
 }
 
-std::pair<std::uint32_t, std::uint32_t> block_pair_at(
-    std::size_t index, std::uint32_t blocks) noexcept {
-  // Row i holds the pairs (i, i+1..blocks-1) and starts at index
-  // block_pair_index(i, i + 1, blocks). Solve for the last row starting at
-  // or before `index` in floating point, then correct by whole rows.
-  const auto row_start = [blocks](std::uint32_t i) {
-    return block_pair_index(i, i + 1, blocks);
-  };
-  const double b = 2.0 * blocks - 1.0;
-  const double estimate =
-      (b - std::sqrt(b * b - 8.0 * static_cast<double>(index))) / 2.0;
-  auto i = static_cast<std::uint32_t>(std::max(0.0, estimate));
-  while (i > 0 && row_start(i) > index) --i;
-  while (i + 2 < blocks && row_start(i + 1) <= index) ++i;
-  return {i, static_cast<std::uint32_t>(i + 1 + (index - row_start(i)))};
-}
-
 MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
                                        const Partition& base)
     : machine_(machine) {
   FFSM_EXPECTS(base.size() == machine.size());
   n_ = machine.size();
   k_ = static_cast<std::uint32_t>(machine.events().size());
-  base_blocks_ = base.block_count();
   parent_.resize(n_);
   size_.assign(n_, 1);
-  min_block_.resize(n_);
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    parent_[i] = i;
-    min_block_[i] = base.block_of(i);
-  }
+  for (std::uint32_t i = 0; i < n_; ++i) parent_[i] = i;
 
   // Seed with the base partition: link every element to its block's first
-  // element, then run the congruence closure once (bound 0 never stops
-  // it). The snapshot taken here is what evaluate() restores per pair.
+  // element, then run the congruence closure once. The snapshot taken here
+  // is what evaluate() restores per pair.
   united_.resize(n_);
-  std::vector<State> first(base_blocks_, kInvalidState);
+  std::vector<State> first(base.block_count(), kInvalidState);
   std::vector<std::pair<State, State>> seeds;
   for (State s = 0; s < n_; ++s) {
     State& f = first[base.block_of(s)];
@@ -153,17 +130,15 @@ MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
     else
       seeds.emplace_back(f, s);
   }
-  run(seeds, 0);
+  run(seeds);
   seed_parent_ = parent_;
   seed_size_ = size_;
-  seed_min_block_ = min_block_;
 
   norm_.resize(n_);
   canon_.resize(n_);
 }
 
-bool MergeClosureEngine::run(std::span<const std::pair<State, State>> pairs,
-                             std::size_t bound) {
+void MergeClosureEngine::run(std::span<const std::pair<State, State>> pairs) {
   // Congruence closure. Invariant: the seeded base is already closed, so
   // within every class all members' successors are co-classed; expanding
   // the *root representatives'* successors (instead of the original
@@ -173,9 +148,7 @@ bool MergeClosureEngine::run(std::span<const std::pair<State, State>> pairs,
   // The successor pairs are generated from the recorded unions as they are
   // read: the explicit pairs first, then union by union, event by event —
   // the order a FIFO queue of every union's successors would hold them in,
-  // so the unions, the stop decision and the result are those of the
-  // queue, but a stopped closure never builds the successors it would not
-  // reach.
+  // without building that queue.
   auto find = [this](std::uint32_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
@@ -188,48 +161,31 @@ bool MergeClosureEngine::run(std::span<const std::pair<State, State>> pairs,
   // around every union.
   std::pair<State, State>* const united = united_.data();
   std::size_t count = 0;
-  // Unites the classes of a and b; false when the union is out of bound.
   const auto unite = [&](std::uint32_t a, std::uint32_t b) {
     std::uint32_t x = find(a);
     std::uint32_t y = find(b);
-    if (x == y) return true;
-    // Of all base-block pairs this union joins, the one with the lowest
-    // index pairs the two classes' smallest blocks.
-    const auto [lo, hi] = std::minmax(min_block_[x], min_block_[y]);
-    if (bound > 0 && block_pair_index(lo, hi, base_blocks_) < bound)
-      return false;
+    if (x == y) return;
     if (size_[x] < size_[y]) std::swap(x, y);
     parent_[y] = x;
     size_[x] += size_[y];
-    min_block_[x] = lo;
     united[count++] = {x, y};
-    return true;
   };
-  for (const auto& [a, b] : pairs)
-    if (!unite(a, b)) return false;
+  for (const auto& [a, b] : pairs) unite(a, b);
   for (std::size_t u = 0; u < count; ++u) {
     const auto [x, y] = united[u];
     for (std::uint32_t e = 0; e < k_; ++e)
-      if (!unite(machine_.step_local(x, e), machine_.step_local(y, e)))
-        return false;
+      unite(machine_.step_local(x, e), machine_.step_local(y, e));
   }
-  return true;
 }
 
 std::size_t MergeClosureEngine::evaluate(State a, State b) {
-  return *evaluate_bounded(a, b, 0);  // no pair index is below 0
-}
-
-std::optional<std::size_t> MergeClosureEngine::evaluate_bounded(
-    State a, State b, std::size_t pair_index) {
   FFSM_EXPECTS(a < n_ && b < n_);
   const std::size_t bytes =
       static_cast<std::size_t>(n_) * sizeof(std::uint32_t);
   std::memcpy(parent_.data(), seed_parent_.data(), bytes);
   std::memcpy(size_.data(), seed_size_.data(), bytes);
-  std::memcpy(min_block_.data(), seed_min_block_.data(), bytes);
   const std::pair<State, State> pair{a, b};
-  if (!run({&pair, 1}, pair_index)) return std::nullopt;
+  run({&pair, 1});
 
   // First-occurrence renumbering fused with the same per-element FNV-1a
   // round Partition::hash() applies, so the returned hash equals

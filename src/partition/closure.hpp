@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <span>
 #include <utility>
 
@@ -33,32 +33,26 @@ namespace ffsm {
 
 /// Index of the base-block pair (i, j), i < j, among all pairs of
 /// `blocks` blocks enumerated lexicographically: (0,1), (0,2), ...,
-/// (0,blocks-1), (1,2), ... — the order lower_cover evaluates them in.
+/// (0,blocks-1), (1,2), ... — the numbering of lower_cover's block-pair
+/// graph, and the order of the definition's pair scan.
 [[nodiscard]] constexpr std::size_t block_pair_index(
     std::uint32_t i, std::uint32_t j, std::uint32_t blocks) noexcept {
   return static_cast<std::size_t>(i) * blocks -
          static_cast<std::size_t>(i) * (i + 1) / 2 + (j - i - 1);
 }
 
-/// Inverse of block_pair_index: the pair (i, j), i < j, whose index among
-/// the pairs of `blocks` blocks is `index`. Requires
-/// index < blocks * (blocks - 1) / 2.
-[[nodiscard]] std::pair<std::uint32_t, std::uint32_t> block_pair_at(
-    std::size_t index, std::uint32_t blocks) noexcept;
-
 /// Batch evaluator for many single-pair merge closures over one fixed base
-/// partition — the lower-cover hot loop (every candidate cover is
-/// closure(base, {a,b}) for one pair of block representatives).
+/// partition: lower_cover closes one pair per sink component with it.
 ///
 /// Compared to calling merge_closure per pair, the engine (a) seeds the
 /// base partition's union-find once and restores it per pair with
-/// memcpys instead of re-running the seeding closure, (b) generates each
-/// union's successor pairs on demand, one event at a time, so a closure
-/// stopped by evaluate_bounded never builds the successors it would not
-/// read, and (c) fuses canonical renumbering with the FNV-1a hash
-/// (identical to Partition::hash()) in one pass, so callers can dedup
-/// candidates without materializing a Partition for every pair. Results
-/// are bit-identical to merge_closure(machine, base, {{a,b}}).
+/// memcpys instead of re-running the seeding closure, (b) keeps the root
+/// pairs it united and reads each union's successor pairs one event at a
+/// time, so no queue of every union's successors is built, and (c) fuses
+/// canonical renumbering with the FNV-1a hash (identical to
+/// Partition::hash()) in one pass, so callers can dedup results without
+/// materializing a Partition for each. Results are bit-identical to
+/// merge_closure(machine, base, {{a,b}}).
 ///
 /// Not thread-safe; use one engine per thread over the same base.
 class MergeClosureEngine {
@@ -73,19 +67,6 @@ class MergeClosureEngine {
   /// assignment itself is readable via assignment() until the next call.
   std::size_t evaluate(State a, State b);
 
-  /// evaluate(a, b) for the base-block pair with index `pair_index`
-  /// (block_pair_index of the blocks of a and b), stopped as soon as the
-  /// closure unites two base blocks whose own pair index is below
-  /// `pair_index`. Returns nullopt when stopped (assignment() is then
-  /// stale); otherwise the same hash and assignment as evaluate(a, b).
-  ///
-  /// A stopped closure is never needed by a lower cover that scans pairs
-  /// in index order: it unites an earlier pair's blocks, so it is coarser
-  /// than or equal to that pair's closure (the finest closed partition
-  /// uniting them) — a duplicate of an earlier candidate, or not maximal.
-  std::optional<std::size_t> evaluate_bounded(State a, State b,
-                                              std::size_t pair_index);
-
   /// Canonical (first-occurrence-normalized) block assignment of the last
   /// evaluate() call. Constructing Partition{assignment()} is exact.
   [[nodiscard]] std::span<const std::uint32_t> assignment() const noexcept {
@@ -97,25 +78,19 @@ class MergeClosureEngine {
 
  private:
   /// Congruence closure on the working union-find: unites `pairs`, then
-  /// the successor pairs of every union in order. Stops and returns false
-  /// on a union of two classes whose smallest base blocks form a pair with
-  /// index below `bound` (never, for bound 0).
-  bool run(std::span<const std::pair<State, State>> pairs, std::size_t bound);
+  /// the successor pairs of every union in order.
+  void run(std::span<const std::pair<State, State>> pairs);
 
   const Dfsm& machine_;
   std::uint32_t n_ = 0;
   std::uint32_t k_ = 0;
-  std::uint32_t base_blocks_ = 0;
   std::uint32_t blocks_ = 0;
   // Union-find snapshot after seeding with the base partition; evaluate()
   // memcpy-restores it into the scratch arrays per pair.
   std::vector<std::uint32_t> seed_parent_;
   std::vector<std::uint32_t> seed_size_;
-  // Smallest base block in each class, valid at roots.
-  std::vector<std::uint32_t> seed_min_block_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> size_;
-  std::vector<std::uint32_t> min_block_;
   std::vector<std::uint32_t> norm_;
   std::vector<std::uint32_t> canon_;
   // Buffer for run(): the root pairs of its unions, in union order, each

@@ -1,9 +1,7 @@
 #include "partition/lower_cover.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "partition/closure.hpp"
@@ -320,125 +318,130 @@ std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
 
 namespace {
 
-/// Fused evaluation: one MergeClosureEngine per chunk of pairs, inline
-/// dedup on the fused canonical hash (exact compare on collision) so
-/// duplicate closures never materialize a Partition. Chunks have a FIXED
-/// size, independent of thread count, and are merged in ascending index
-/// order through a global first-occurrence filter. Pair k is the pair of
-/// blocks block_pair_at(k) of the block representatives `rep`: a chunk
-/// inverts the index of its first pair and walks forward over `rep`, so no
-/// list of all pairs is ever built.
+/// One block pair (i, j), i < j, of `p` per sink component of its
+/// block-pair graph, in the order the search finds the sinks.
 ///
-/// Pair i's closure is stopped as soon as it unites the blocks of an
-/// earlier pair j < i (MergeClosureEngine::evaluate_bounded): it is then
-/// <= closure j, so it is a duplicate or not maximal. By induction on i,
-/// every stopped closure is <= some closure that ran to completion (pair 0
-/// always does), and the first pair producing each maximal element always
-/// completes. So the candidates kept here have exactly the maximal
-/// elements of the full list of pair closures, each at its first
-/// occurrence, and the cover equals the definition's element for element
-/// (tests/oracle.hpp). The bound is the pair's own index, never another
-/// chunk's result, so chunks stay independent and the cover is the same at
-/// any thread count; parallel=false evaluates every pair as one chunk on
-/// the calling thread. Returns the distinct completed closures in index
-/// order and counts the stopped ones in `gen.closure_pruned`.
-std::vector<Partition> fused_candidates(const Dfsm& machine, const Partition& p,
-                                        const std::vector<State>& rep,
-                                        const LowerCoverOptions& options) {
-  struct Distinct {
-    std::size_t hash;
-    std::vector<std::uint32_t> canon;
-  };
-  struct Chunk {
-    std::vector<Distinct> distinct;
-    std::uint64_t stopped = 0;
-  };
-
+/// The nodes are the pairs i < j, numbered by block_pair_index. Event e
+/// adds an edge from {i, j} to {δ(i,e), δ(j,e)} in p's quotient, dropped
+/// when the two coincide. From each unvisited pair, in index order, an
+/// iterative Tarjan DFS runs until the first of two things happens:
+/// - It reaches a dead pair or a sink pair. Every pair on its stack reaches
+///   that pair, so it reaches outside its own component and is in no sink.
+///   All of them are marked dead.
+/// - A component completes. Nothing completed before it in this DFS, and
+///   the DFS never entered an earlier one, so every edge of the component
+///   stays inside it: it is a sink. Its pairs are marked as sink pairs, and
+///   the rest of the stack dead.
+/// Either way every pair the DFS visited ends dead or in a sink, so no pair
+/// is visited twice, and only sinks get all their edges scanned.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> sink_pairs(
+    const Dfsm& machine, const Partition& p, std::span<const State> rep) {
   const auto blocks = static_cast<std::uint32_t>(rep.size());
+  const auto k = static_cast<std::uint32_t>(machine.events().size());
+  // quotient[b * k + e]: the block that event e takes block b to.
+  std::vector<std::uint32_t> quotient(static_cast<std::size_t>(blocks) * k);
+  for (std::uint32_t b = 0; b < blocks; ++b)
+    for (std::uint32_t e = 0; e < k; ++e)
+      quotient[static_cast<std::size_t>(b) * k + e] =
+          p.block_of(machine.step_local(rep[b], e));
+
+  // One word per pair: 0 until visited, then its visit index within the
+  // running DFS (from 1), then kDead or kSink for good.
+  constexpr std::uint32_t kDead = static_cast<std::uint32_t>(-1);
+  constexpr std::uint32_t kSink = kDead - 1;
   const std::size_t pair_count =
       static_cast<std::size_t>(blocks) * (blocks - 1) / 2;
-  // Both results are built in locals and stored once: the chunks' slots
-  // share cache lines, and a per-pair store there would bounce them
-  // between threads.
-  const auto evaluate_range = [&](std::size_t lo, std::size_t hi) {
-    std::vector<Distinct> distinct;
-    std::uint64_t stopped = 0;
-    MergeClosureEngine engine(machine, p);
-    auto [i, j] = block_pair_at(lo, blocks);
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::optional<std::size_t> hash =
-          engine.evaluate_bounded(rep[i], rep[j], k);
-      if (++j == blocks) j = ++i + 1;
-      if (!hash) {
-        ++stopped;
-        continue;
-      }
-      const std::size_t h = *hash;
-      const std::span<const std::uint32_t> canon = engine.assignment();
-      bool duplicate = false;
-      for (const Distinct& d : distinct)
-        if (d.hash == h &&
-            std::equal(d.canon.begin(), d.canon.end(), canon.begin())) {
-          duplicate = true;
-          break;
-        }
-      if (!duplicate)
-        distinct.push_back({h, {canon.begin(), canon.end()}});
-    }
-    return Chunk{std::move(distinct), stopped};
+  FFSM_EXPECTS(pair_count < kSink);
+  std::vector<std::uint32_t> mark(pair_count, 0);
+
+  // A DFS frame holds its pair's blocks, the next event to follow and the
+  // lowlink. Tarjan reads lowlinks only of the current frame and of a
+  // returning child, so there is no lowlink per pair.
+  struct Frame {
+    std::uint32_t i, j, event, low;
+  };
+  std::vector<Frame> frames;
+  // The running DFS's pairs in visit order: pair stack[v] has index v + 1.
+  // No component completes before the DFS ends, so none is ever popped.
+  std::vector<std::uint32_t> stack;
+  const auto settle = [&](std::size_t from, std::size_t to,
+                          std::uint32_t value) {
+    for (std::size_t v = from; v < to; ++v) mark[stack[v]] = value;
   };
 
-  // Pair chunks are fixed-size (NOT thread-count-derived): the merge below
-  // is boundary-insensitive, but fixed chunks also keep the work split —
-  // and the per-chunk engine count — reproducible for profiling.
-  constexpr std::size_t kChunkPairs = 2048;
-  const std::size_t chunk_count =
-      options.parallel ? (pair_count + kChunkPairs - 1) / kChunkPairs : 1;
-  std::vector<Chunk> chunks(chunk_count);
-  if (chunk_count == 1) {
-    chunks[0] = evaluate_range(0, pair_count);
-  } else {
-    ParallelOptions popt;
-    popt.pool = options.pool;
-    popt.serial_threshold = 1;
-    parallel_for(
-        0, chunk_count,
-        [&](std::size_t c) {
-          const std::size_t lo = c * kChunkPairs;
-          chunks[c] =
-              evaluate_range(lo, std::min(pair_count, lo + kChunkPairs));
-        },
-        popt);
-  }
-  if (options.obs != nullptr) {
-    std::uint64_t pruned = 0;
-    for (const Chunk& chunk : chunks) pruned += chunk.stopped;
-    options.obs->count("gen.closure_pruned", pruned);
-  }
-
-  // Merge chunks in index order with a global first-occurrence filter. A
-  // value's global first occurrence survives its own chunk's inline dedup,
-  // so processing chunk survivors in ascending global-index order yields
-  // exactly the first-occurrence order of the full list of pair closures.
-  std::vector<Partition> unique;
-  std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
-  for (Chunk& chunk : chunks) {
-    for (Distinct& d : chunk.distinct) {
-      auto& chain = by_hash[d.hash];
-      bool duplicate = false;
-      for (const std::size_t u : chain) {
-        const std::span<const std::uint32_t> a = unique[u].assignment();
-        if (std::equal(a.begin(), a.end(), d.canon.begin(), d.canon.end())) {
-          duplicate = true;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sinks;
+  std::uint32_t root = 0;
+  for (std::uint32_t ri = 0; ri < blocks; ++ri) {
+    for (std::uint32_t rj = ri + 1; rj < blocks; ++rj, ++root) {
+      if (mark[root] != 0) continue;
+      mark[root] = 1;
+      stack.assign(1, root);
+      frames.assign(1, {ri, rj, 0, 1});
+      while (true) {
+        Frame& top = frames.back();
+        const std::uint32_t* const qi =
+            quotient.data() + static_cast<std::size_t>(top.i) * k;
+        const std::uint32_t* const qj =
+            quotient.data() + static_cast<std::size_t>(top.j) * k;
+        std::uint32_t a = 0;
+        std::uint32_t b = 0;
+        std::size_t w = 0;
+        std::uint32_t seen = 0;
+        for (; top.event < k; ++top.event) {
+          a = qi[top.event];
+          b = qj[top.event];
+          if (a == b) continue;
+          if (a > b) std::swap(a, b);
+          w = block_pair_index(a, b, blocks);
+          seen = mark[w];
+          if (seen == 0 || seen >= kSink) break;
+          top.low = std::min(top.low, seen);
+        }
+        if (top.event < k && seen != 0) {  // left this DFS
+          settle(0, stack.size(), kDead);
           break;
         }
+        if (top.event < k) {  // an unvisited pair: descend
+          ++top.event;
+          const auto index = static_cast<std::uint32_t>(stack.size() + 1);
+          mark[w] = index;
+          stack.push_back(static_cast<std::uint32_t>(w));
+          frames.push_back({a, b, 0, index});
+          continue;
+        }
+        const std::uint32_t index =
+            mark[block_pair_index(top.i, top.j, blocks)];
+        if (top.low == index) {  // the first component completed: a sink
+          sinks.emplace_back(top.i, top.j);
+          settle(index - 1, stack.size(), kSink);
+          settle(0, index - 1, kDead);
+          break;
+        }
+        const std::uint32_t low = top.low;
+        frames.pop_back();
+        FFSM_ASSERT(!frames.empty());  // the root's own index is 1
+        frames.back().low = std::min(frames.back().low, low);
       }
-      if (duplicate) continue;
-      chain.push_back(unique.size());
-      unique.emplace_back(std::move(d.canon));
     }
   }
-  return unique;
+  return sinks;
+}
+
+/// Index of the first block pair of `rep`, in block_pair_index order, that
+/// `q` unites; `q` unites at least one.
+std::size_t first_united_pair(const Partition& q, std::span<const State> rep) {
+  const auto blocks = static_cast<std::uint32_t>(rep.size());
+  // A class's first two blocks form its smallest pair.
+  std::vector<std::uint32_t> first(q.block_count(), kInvalidState);
+  std::size_t best = static_cast<std::size_t>(-1);
+  for (std::uint32_t b = 0; b < blocks; ++b) {
+    std::uint32_t& f = first[q.block_of(rep[b])];
+    if (f == kInvalidState)
+      f = b;
+    else
+      best = std::min(best, block_pair_index(f, b, blocks));
+  }
+  return best;
 }
 
 }  // namespace
@@ -456,13 +459,30 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
   for (State s = 0; s < p.size(); ++s)
     if (rep[p.block_of(s)] == kInvalidState) rep[p.block_of(s)] = s;
 
-  // Candidates arrive deduplicated in first-occurrence order; keep the
-  // maximal ones, then check closedness on the few survivors.
+  // Close one pair per sink component and drop repeats: the hash first,
+  // then the canonical assignment.
   obs::Obs* const obs = options.obs;
   const bool timed = obs != nullptr && obs->enabled();
   const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-  std::vector<Partition> unique = fused_candidates(machine, p, rep, options);
+  const auto sinks = sink_pairs(machine, p, rep);
+  if (obs != nullptr) obs->count("gen.sink_components", sinks.size());
+  MergeClosureEngine engine(machine, p);
+  std::vector<Partition> unique;
+  std::vector<std::size_t> hashes;
+  for (const auto& [i, j] : sinks) {
+    const std::size_t h = engine.evaluate(rep[i], rep[j]);
+    const std::span<const std::uint32_t> canon = engine.assignment();
+    bool duplicate = false;
+    for (std::size_t u = 0; u < unique.size() && !duplicate; ++u)
+      duplicate = hashes[u] == h && std::ranges::equal(unique[u].assignment(),
+                                                       canon);
+    if (duplicate) continue;
+    hashes.push_back(h);
+    unique.emplace_back(std::vector<std::uint32_t>(canon.begin(), canon.end()));
+  }
   if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
+
+  // Keep the maximal closures.
   const std::size_t k = unique.size();
   std::vector<char> dominated(k, 0);
   const auto scan_row = [&](std::size_t i) {
@@ -480,9 +500,17 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
   } else {
     for (std::size_t i = 0; i < k; ++i) scan_row(i);
   }
-  std::vector<Partition> result;
+
+  // A maximal element is the closure of every pair it unites, so its first
+  // occurrence in pair order is its smallest united pair: sorting by that
+  // pair gives the definition's order.
+  std::vector<std::pair<std::size_t, std::size_t>> order;  // (pair, element)
   for (std::size_t i = 0; i < k; ++i)
-    if (!dominated[i]) result.push_back(std::move(unique[i]));
+    if (!dominated[i]) order.emplace_back(first_united_pair(unique[i], rep), i);
+  std::ranges::sort(order);
+  std::vector<Partition> result;
+  result.reserve(order.size());
+  for (const auto& [pair, i] : order) result.push_back(std::move(unique[i]));
   for (const Partition& q : result) FFSM_ENSURES(is_closed(machine, q));
   return result;
 }

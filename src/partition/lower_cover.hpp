@@ -3,23 +3,38 @@
 // The lower cover of machine M consists of the *maximal* closed partitions
 // strictly less (coarser) than M. Following Lee–Yannakakis and the paper's
 // construction, every lower-cover element arises as the merge closure of M
-// with one pair of its blocks united; we therefore enumerate all
-// block-pair closures, deduplicate, and keep the maximal ones.
+// with one pair of its blocks united. The definition itself (one
+// merge_closure per pair, dedup, naive maximality filter) lives in
+// tests/oracle.hpp as the reference lower_cover is checked against.
 //
-// Complexity: O(B^2) pair closures for B blocks, each O(N * |Sigma| *
-// alpha). A MergeClosureEngine per fixed-size chunk of pairs seeds the base
-// union-find once and restores it per pair, stops a pair's closure once it
-// unites an earlier pair's blocks (it can then add no new maximal
-// element), generates a closure's successor pairs only as it reads them,
-// and drops duplicates inline on the canonical hash. Each chunk finds its
-// first pair by inverting the pair index and walks on from there, so no
-// list of all B(B-1)/2 pairs is built, and counts its stopped closures
-// locally. Chunks fan out across the thread pool and merge in pair order,
-// so the cover, order included, is the same at any thread count;
-// parallel=false runs one chunk on the calling thread. The definition
-// itself (one merge_closure per pair, dedup, naive maximality filter)
-// lives in tests/oracle.hpp as the reference the evaluator is checked
-// against.
+// lower_cover closes far fewer pairs. Take M's B blocks and its quotient
+// machine. The block-pair graph has one node per pair {i, j}, i < j, and
+// event e adds an edge to {δ(i,e), δ(j,e)}, dropped when the two coincide.
+// - The merge closure of {i, j} is the equivalence closure of the pairs
+//   reachable from {i, j}: those pairs must be united, and uniting them
+//   is already closed under every event.
+// - So if pair q reaches pair p, q's closure is coarser than or equal to
+//   p's, and all pairs of a strongly connected component share a closure.
+// - Every pair reaches a *sink* component, one with no edge leaving it.
+//   Hence every pair's closure lies at or below some sink's closure, and
+//   the maximal elements are among the sink closures: exactly the maximal
+//   ones among them.
+// - A maximal element is the closure of every pair it unites, so its first
+//   occurrence in the definition's pair order is its smallest united pair.
+//   Sorting by that pair gives the definition's order.
+// A serial Tarjan search with an early abort finds the sinks: a DFS that
+// reaches a pair already known to be dead, or in a sink, marks its whole
+// stack dead, so no pair is visited twice. One pair per sink is closed
+// with MergeClosureEngine, repeats are dropped, and the maximal closures
+// are kept in that order. The cover, order included, equals the
+// definition's.
+//
+// Complexity: O(B^2 * |Sigma|) edge visits at most, and only sink pairs
+// have all their edges scanned, plus O(N * |Sigma| * alpha) per sink
+// closure and the maximality filter over the distinct sink closures. The
+// search holds one 32-bit word per pair (its visit index, or dead, or in
+// a sink) plus its DFS stack: frames of four words that carry a pair's
+// blocks, next event and lowlink.
 //
 // A lower cover depends only on (machine, p) — not on which originals or
 // fault graph drove the caller there — so results are memoizable across
@@ -275,11 +290,11 @@ class LowerCoverCache {
 };
 
 struct LowerCoverOptions {
-  /// Evaluate block-pair closures in parallel on this pool (nullptr =
-  /// global pool), in chunks of 2,048 pairs; a cover with fewer pairs
-  /// runs as one chunk on the calling thread.
+  /// Pool for the maximality filter's fan-out over the distinct sink
+  /// closures (nullptr = global pool); fewer than 16 run on the calling
+  /// thread. The sink search itself is serial.
   ThreadPool* pool = nullptr;
-  /// false evaluates every pair as one chunk on the calling thread. Covers
+  /// false runs the maximality filter on the calling thread too. Covers
   /// are identical either way.
   bool parallel = true;
   /// Optional memo shared across calls (and threads). Must only ever see
@@ -287,10 +302,10 @@ struct LowerCoverOptions {
   LowerCoverCache* cache = nullptr;
   /// Optional observability context (nullptr = uninstrumented). Feeds the
   /// `gen.lower_cover` span (one full cover computation), the
-  /// `gen.closure_eval` histogram (the candidate-evaluation phase inside
-  /// it), the `gen.closure_pruned` counter (pair closures stopped early)
-  /// and `cache.get` / `cache.insert` (memo lookup / publish latency).
-  /// Never affects results.
+  /// `gen.closure_eval` histogram (the sink search and sink closures inside
+  /// it), the `gen.sink_components` counter (sink components found) and
+  /// `cache.get` / `cache.insert` (memo lookup / publish latency). Never
+  /// affects results.
   obs::Obs* obs = nullptr;
 };
 

@@ -49,9 +49,13 @@ TEST(FaultGraph, WeightIsSymmetric) {
   const CanonicalExample ex;
   const std::vector<Partition> machines{ex.p_a, ex.p_b};
   const FaultGraph g = FaultGraph::build(4, machines);
-  for (std::uint32_t i = 0; i < 4; ++i)
-    for (std::uint32_t j = 0; j < 4; ++j)
-      if (i != j) EXPECT_EQ(g.weight(i, j), g.weight(j, i));
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    for (std::uint32_t j = 0; j < 4; ++j) {
+      if (i != j) {
+        EXPECT_EQ(g.weight(i, j), g.weight(j, i));
+      }
+    }
+  }
 }
 
 TEST(FaultGraph, SelfEdgeThrows) {

@@ -110,9 +110,9 @@ TEST(Generator, StatsCountDescentWork) {
   EXPECT_GE(result.stats.candidates_examined, 4u);
 }
 
-TEST(Generator, PrunedClosuresAreCountedOnlyWhenCoversAreComputed) {
-  // gen.closure_pruned counts the fused evaluator's pair closures stopped
-  // early: the cold run computes every cover and the warm rerun none.
+TEST(Generator, SinkComponentsAreCountedOnlyWhenCoversAreComputed) {
+  // gen.sink_components counts the sink components the lower covers found:
+  // the cold run computes every cover and the warm rerun none.
   const CrossProduct cp = testing::counter_pair_product();
   const std::vector<Partition> originals = testing::component_partitions(cp);
   ThreadPool pool(2);
@@ -125,18 +125,19 @@ TEST(Generator, PrunedClosuresAreCountedOnlyWhenCoversAreComputed) {
   obs::Obs cold_obs;
   options.obs = &cold_obs;
   const FusionResult cold = generate_fusion(cp.top, originals, options);
-  const std::uint64_t cold_pruned =
-      cold_obs.snapshot().counters["gen.closure_pruned"];
-  EXPECT_GT(cold_pruned, 0u);
-  // closures_evaluated counts every pair examined, stopped ones included.
-  EXPECT_GT(cold.stats.closures_evaluated, cold_pruned);
+  const std::uint64_t cold_sinks =
+      cold_obs.snapshot().counters["gen.sink_components"];
+  EXPECT_GT(cold_sinks, 0u);
+  // closures_evaluated counts every pair classified; one per sink is
+  // closed.
+  EXPECT_GT(cold.stats.closures_evaluated, cold_sinks);
 
   obs::Obs warm_obs;
   options.obs = &warm_obs;
   const FusionResult warm = generate_fusion(cp.top, originals, options);
   EXPECT_EQ(warm.partitions, cold.partitions);
   EXPECT_EQ(warm.stats.closures_evaluated, 0u);
-  EXPECT_EQ(warm_obs.snapshot().counters["gen.closure_pruned"], 0u);
+  EXPECT_EQ(warm_obs.snapshot().counters["gen.sink_components"], 0u);
 }
 
 TEST(Generator, SingleStateTopNeedsNothing) {
@@ -295,9 +296,9 @@ TEST(Generator, ParallelMatchesSerialAcrossPoliciesFaultsThreadsAndCaches) {
 
 TEST(Generator, WorkCountsOnTheRecoverTop) {
   // The work Algorithm 2 does on the recover benchmark's top, serially and
-  // on a pool. A closure's stop decision depends only on which blocks its
-  // full closure unites, so these counts move only if the evaluator stops
-  // a closure it must finish, or finishes one it may stop.
+  // on a pool. The sink components are a property of each cover's
+  // block-pair graph, so their count moves only if the search misses a
+  // sink or reports a component that is not one.
   const CrossProduct cp = recover_top();
   ASSERT_EQ(cp.top.size(), 176u);
   ASSERT_EQ(cp.top.events().size(), 16u);
@@ -312,8 +313,8 @@ TEST(Generator, WorkCountsOnTheRecoverTop) {
     cover_options.pool = on;
     cover_options.obs = &cover_obs;
     EXPECT_EQ(lower_cover(cp.top, identity, cover_options).size(), 8u);
-    // 16 of the identity's 15,400 pair closures complete.
-    EXPECT_EQ(cover_obs.snapshot().counters["gen.closure_pruned"], 15'384u);
+    // The identity's 15,400 pairs hold 8 sink components.
+    EXPECT_EQ(cover_obs.snapshot().counters["gen.sink_components"], 8u);
 
     obs::Obs generate_obs;
     GenerateOptions options;
@@ -322,10 +323,10 @@ TEST(Generator, WorkCountsOnTheRecoverTop) {
     options.pool = on;
     options.obs = &generate_obs;
     const FusionResult result = generate_fusion(cp.top, originals, options);
-    // Covers of 15,400, 8,646 and 3,828 pairs, 29 of them completed.
+    // Covers of 15,400, 8,646 and 3,828 pairs, with 19 sinks among them.
     EXPECT_EQ(result.stats.closures_evaluated, 27'874u);
     EXPECT_EQ(result.stats.descent_steps, 2u);
-    EXPECT_EQ(generate_obs.snapshot().counters["gen.closure_pruned"], 27'845u);
+    EXPECT_EQ(generate_obs.snapshot().counters["gen.sink_components"], 19u);
   }
 }
 

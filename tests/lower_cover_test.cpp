@@ -6,12 +6,16 @@
 #include <initializer_list>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "fsm/product.hpp"
 #include "fsm/random_dfsm.hpp"
+#include "fusion/generator.hpp"
 #include "obs/obs.hpp"
 #include "oracle.hpp"
 #include "partition/closure.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace ffsm {
 namespace {
@@ -209,12 +213,13 @@ TEST(DedupEquivalence, MatchesOracleOnCatalogProduct) {
   }
 }
 
-TEST(DedupEquivalence, MatchesOracleWhenMaximalElementsSpanChunks) {
+TEST(DedupEquivalence, MatchesOracleOnACycleAndALasso) {
   // One event over two components: a 4-cycle (states 0-3), then a
   // 40-state path (4-43) running into a 40-cycle (44-83). The identity's
-  // cover takes the 4-cycle's halving from pair 1, in the first 2,048-pair
-  // chunk, and the lasso's maximal elements from pairs past 2,048, so the
-  // order in which chunks merge shows in the cover's order.
+  // cover takes the 4-cycle's halving from pair 1 and the lasso's maximal
+  // elements from pairs in the thousands. On the 40-cycle the pairs at
+  // distance d form one sink component, and distances with the same gcd
+  // with 40 close to the same partition, so many sinks repeat a closure.
   auto al = Alphabet::create();
   DfsmBuilder b("two-components", al);
   b.states(84, "s");
@@ -256,20 +261,13 @@ TEST_P(DedupEquivalenceRandom, MatchesOracleDownARandomLattice) {
   const LowerCoverOptions serial = run_on(nullptr);
   const LowerCoverOptions pooled = run_on(&pool);
 
-  // Pair closures stop the same way in one chunk (serial) as in many
-  // (pool): each pair's bound is its own index.
+  // Every element of the identity's cover is some sink's closure.
   {
-    obs::Obs serial_obs;
-    obs::Obs pool_obs;
-    LowerCoverOptions counted_serial = serial;
-    counted_serial.obs = &serial_obs;
-    LowerCoverOptions counted_pool = pooled;
-    counted_pool.obs = &pool_obs;
-    const Partition identity = Partition::identity(m.size());
-    (void)lower_cover(m, identity, counted_serial);
-    (void)lower_cover(m, identity, counted_pool);
-    EXPECT_EQ(serial_obs.snapshot().counters["gen.closure_pruned"],
-              pool_obs.snapshot().counters["gen.closure_pruned"]);
+    obs::Obs obs;
+    LowerCoverOptions counted = pooled;
+    counted.obs = &obs;
+    const auto cover = lower_cover(m, Partition::identity(m.size()), counted);
+    EXPECT_GE(obs.snapshot().counters["gen.sink_components"], cover.size());
   }
 
   // Walk a descent: compare against the oracle at every node, following
@@ -306,16 +304,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DedupEquivalenceRandom,
                          ::testing::ValuesIn(small_tops()));
 
 // Tops of more than 64 blocks: the identity's 4,560 and 11,175 block pairs
-// span 3 and 6 of lower_cover's 2,048-pair chunks.
+// make deep searches.
 const RandomTop kWideTops[] = {{96, 3, 1}, {96, 3, 2}, {150, 3, 1}};
 
 INSTANTIATE_TEST_SUITE_P(WideTops, DedupEquivalenceRandom,
                          ::testing::ValuesIn(kWideTops));
 
-// Many events: a union has 8 or 16 successor pairs, most of which a
-// stopped closure never reads. These random machines have only the
-// trivial closed partitions, so pair 0's closure is the single block and
-// every later pair stops; the 96-state tops do so across 3 chunks.
+// Many events: a pair has up to 8 or 16 out-edges, and the search stops a
+// DFS at the first one that reaches a dead or sink pair. These random
+// machines have only the trivial closed partitions, so the single block is
+// the whole cover.
 // MatchesOracleOnCatalogProduct and generator_test's recover top cover
 // many-event tops with richer lattices.
 std::vector<RandomTop> many_event_tops() {
@@ -329,6 +327,177 @@ std::vector<RandomTop> many_event_tops() {
 
 INSTANTIATE_TEST_SUITE_P(ManyEvents, DedupEquivalenceRandom,
                          ::testing::ValuesIn(many_event_tops()));
+
+// Three one-event machines, each built so that one step after the sink
+// search decides the cover: the maximality filter, the dedup and the sort.
+
+/// A machine over states 0..n-1 with one event "e" taking s to next[s].
+Dfsm one_event_machine(const std::vector<State>& next) {
+  auto al = Alphabet::create();
+  DfsmBuilder b("one-event", al);
+  b.states(static_cast<std::uint32_t>(next.size()), "s");
+  const EventId e = b.event("e");
+  for (State s = 0; s < next.size(); ++s) b.transition(s, e, next[s]);
+  return b.build(/*allow_unreachable=*/true);
+}
+
+/// lower_cover of the identity with its sink count, serially and on a pool,
+/// checked against the oracle.
+std::pair<std::vector<Partition>, std::uint64_t> identity_cover(
+    const Dfsm& m) {
+  const Partition identity = Partition::identity(m.size());
+  const auto expected = oracle_lower_cover(m, identity);
+  ThreadPool pool(2);
+  obs::Obs obs;
+  LowerCoverOptions options = run_on(&pool);
+  options.obs = &obs;
+  const auto cover = lower_cover(m, identity, options);
+  EXPECT_EQ(cover, expected);
+  EXPECT_EQ(lower_cover(m, identity, run_on(nullptr)), expected);
+  return {cover, obs.snapshot().counters["gen.sink_components"]};
+}
+
+TEST(SinkSearch, FilterDropsASinkClosureBelowAnother) {
+  // A 4-cycle: pairs at distance 1 form one sink and close to the single
+  // block; pairs at distance 2 form the other and close to {0,2}{1,3},
+  // which lies above it. Only the latter is maximal.
+  const auto [cover, sinks] = identity_cover(one_event_machine({1, 2, 3, 0}));
+  EXPECT_EQ(sinks, 2u);
+  ASSERT_EQ(cover.size(), 1u);
+  EXPECT_EQ(cover[0], pt({0, 1, 0, 1}));
+}
+
+TEST(SinkSearch, SinksWithOneClosureGiveOneElement) {
+  // A 5-cycle: pairs at distance 1 and at distance 2 form two sinks, and
+  // both close to the single block (5 is prime), which appears once.
+  const auto [cover, sinks] =
+      identity_cover(one_event_machine({1, 2, 3, 4, 0}));
+  EXPECT_EQ(sinks, 2u);
+  ASSERT_EQ(cover.size(), 1u);
+  EXPECT_EQ(cover[0], Partition::single_block(5));
+}
+
+TEST(SinkSearch, OrderFollowsTheSmallestUnitedPairNotTheSearch) {
+  // e takes 0 to 2, 1 to 3, and 2 and 3 to 2. The search starts at pair
+  // (0,1), whose edge leads to (2,3), so the sink {(2,3)} is found first.
+  // The sinks {(0,2)} and {(0,3)} come after it, yet their closures unite
+  // smaller pairs and come first in the cover.
+  const auto [cover, sinks] = identity_cover(one_event_machine({2, 3, 2, 2}));
+  EXPECT_EQ(sinks, 3u);
+  ASSERT_EQ(cover.size(), 3u);
+  EXPECT_EQ(cover[0], pt({0, 1, 0, 2}));
+  EXPECT_EQ(cover[1], pt({0, 1, 2, 0}));
+  EXPECT_EQ(cover[2], pt({0, 1, 2, 2}));
+}
+
+/// Sink components of p's block-pair graph, counted from the definition:
+/// a pair is in a sink iff every pair it reaches reaches it back, and the
+/// pairs of one sink share their reachable set. One search per pair, so
+/// only for small partitions.
+std::size_t oracle_sink_count(const Dfsm& m, const Partition& p) {
+  const std::uint32_t blocks = p.block_count();
+  std::vector<State> rep(blocks, kInvalidState);
+  for (State s = 0; s < p.size(); ++s)
+    if (rep[p.block_of(s)] == kInvalidState) rep[p.block_of(s)] = s;
+  const std::size_t pairs = std::size_t{blocks} * (blocks - 1) / 2;
+  std::vector<std::vector<std::size_t>> edges(pairs);
+  for (std::uint32_t i = 0; i < blocks; ++i)
+    for (std::uint32_t j = i + 1; j < blocks; ++j)
+      for (std::uint32_t e = 0; e < m.events().size(); ++e) {
+        const std::uint32_t a = p.block_of(m.step_local(rep[i], e));
+        const std::uint32_t b = p.block_of(m.step_local(rep[j], e));
+        if (a != b)
+          edges[block_pair_index(i, j, blocks)].push_back(
+              block_pair_index(std::min(a, b), std::max(a, b), blocks));
+      }
+  std::vector<std::vector<bool>> reach(pairs, std::vector<bool>(pairs));
+  for (std::size_t from = 0; from < pairs; ++from) {
+    std::vector<std::size_t> frontier{from};
+    reach[from][from] = true;
+    while (!frontier.empty()) {
+      const std::size_t q = frontier.back();
+      frontier.pop_back();
+      for (const std::size_t r : edges[q])
+        if (!reach[from][r]) {
+          reach[from][r] = true;
+          frontier.push_back(r);
+        }
+    }
+  }
+  std::vector<std::vector<bool>> sinks;
+  for (std::size_t q = 0; q < pairs; ++q) {
+    bool in_sink = true;
+    for (std::size_t r = 0; r < pairs && in_sink; ++r)
+      in_sink = !reach[q][r] || reach[r][q];
+    if (in_sink && std::find(sinks.begin(), sinks.end(), reach[q]) ==
+                       sinks.end())
+      sinks.push_back(reach[q]);
+  }
+  return sinks.size();
+}
+
+TEST(SinkSearch, MatchesOracleOnEveryCoverTheDescentsReach) {
+  // 300 seeded products of two random machines (3-12 states each, 2-4
+  // shared events). For each: every cover Algorithm 2's descents reach at
+  // f = 1-3, read back from the shared cache they filled, plus the covers
+  // of the two originals.
+  std::size_t covers = 0;
+  std::size_t counted = 0;  // covers whose sinks were counted independently
+  std::size_t multi_element = 0;
+  std::size_t more_sinks_than_elements = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Xoshiro256 rng(seed);
+    auto al = Alphabet::create();
+    const auto events = static_cast<std::uint32_t>(2 + rng.below(3));
+    std::vector<Dfsm> machines;
+    for (const char* const name : {"m0", "m1"}) {
+      RandomDfsmSpec spec;
+      spec.states = static_cast<std::uint32_t>(3 + rng.below(10));
+      spec.num_events = events;
+      spec.seed = 2 * seed + machines.size();
+      machines.push_back(make_random_connected_dfsm(al, name, spec));
+    }
+    const CrossProduct cp = reachable_cross_product(machines);
+    const auto originals = ffsm::testing::component_partitions(cp);
+
+    LowerCoverCache cache({CacheEvictionPolicy::kLru, 1u << 16});
+    for (const std::uint32_t f : {1u, 2u, 3u}) {
+      GenerateOptions options;
+      options.f = f;
+      options.parallel = false;
+      options.cache = &cache;
+      (void)generate_fusion(cp.top, originals, options);
+    }
+    std::vector<WarmCacheEntry> nodes = cache.export_hot(cache.size());
+    for (const Partition& original : originals)
+      nodes.push_back({original, lower_cover(cp.top, original)});
+    for (const auto& [node, cached] : nodes) {
+      const auto expected = oracle_lower_cover(cp.top, node);
+      EXPECT_EQ(cached, expected)
+          << "seed " << seed << " below " << node.to_string();
+      obs::Obs obs;
+      LowerCoverOptions options = run_on(nullptr);
+      options.obs = &obs;
+      const auto cover = lower_cover(cp.top, node, options);
+      EXPECT_EQ(cover, expected);
+      const std::uint64_t sinks =
+          obs.snapshot().counters["gen.sink_components"];
+      if (node.block_count() <= 24) {
+        EXPECT_EQ(sinks, oracle_sink_count(cp.top, node))
+            << "seed " << seed << " below " << node.to_string();
+        ++counted;
+      }
+      ++covers;
+      if (cover.size() > 1) ++multi_element;
+      if (sinks > cover.size()) ++more_sinks_than_elements;
+    }
+  }
+  // The sweep must reach the cases the filter, the dedup and the sort are
+  // for.
+  EXPECT_GT(multi_element, 0u) << covers << " covers";
+  EXPECT_GT(more_sinks_than_elements, 0u) << covers << " covers";
+  EXPECT_GT(counted, covers / 2) << covers << " covers";
+}
 
 TEST(LowerCoverCache, MemoizesWithoutChangingResults) {
   const ffsm::testing::CanonicalExample ex;

@@ -1,6 +1,6 @@
 // Reference implementations written straight from the paper's definitions,
 // for checking the engine in src/ against code that shares none of its
-// shortcuts: no pair pruning, no chunking, no memo, no delta updates.
+// shortcuts: no sink search, no memo, no delta updates.
 //
 // oracle_lower_cover is Definition 2: close p with each pair of its blocks
 // united (one merge_closure per pair), drop repeats keeping first

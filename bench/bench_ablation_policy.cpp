@@ -44,7 +44,7 @@ void report() {
       options.policy = policy;
       const GeneratedBackups backups = generate_backup_machines(cp, options);
       table.add_row({row.label.substr(0, 30), policy_name(policy),
-                     "[" + bench::size_list(backups.machines) + "]",
+                     bench::size_list(backups.machines),
                      with_thousands(fusion_state_space(backups.machines)),
                      std::to_string(backups.stats.descent_steps),
                      std::to_string(backups.stats.candidates_examined)});
@@ -83,7 +83,7 @@ void policy_fusion_size_random(benchmark::State& state) {
         spec.num_events = 2;
         spec.seed = seed * 11 + i;
         machines.push_back(make_random_connected_dfsm(
-            alphabet, "m" + std::to_string(i), spec));
+            alphabet, std::string("m").append(std::to_string(i)), spec));
       }
       const CrossProduct cp = reachable_cross_product(machines);
       GenerateOptions options;

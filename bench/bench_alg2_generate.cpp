@@ -41,7 +41,7 @@ CrossProduct random_pair_product(std::uint32_t states_each,
     spec.num_events = events;
     spec.seed = seed + i;
     machines.push_back(make_random_connected_dfsm(
-        alphabet, "m" + std::to_string(i), spec));
+        alphabet, std::string("m").append(std::to_string(i)), spec));
   }
   return reachable_cross_product(machines);
 }

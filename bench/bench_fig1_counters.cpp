@@ -58,7 +58,7 @@ void report() {
   GenerateOptions options;
   options.f = 1;
   const GeneratedBackups generated = generate_backup_machines(cp, options);
-  std::printf("Algorithm 2 (f=1) finds: [%s] states\n\n",
+  std::printf("Algorithm 2 (f=1) finds: %s states\n\n",
               bench::size_list(generated.machines).c_str());
 }
 

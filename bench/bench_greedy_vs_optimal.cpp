@@ -32,7 +32,7 @@ SmallSystem make_system(std::uint64_t seed) {
     spec.num_events = 2;
     spec.seed = seed * 19 + i;
     machines.push_back(make_random_connected_dfsm(
-        s.alphabet, "m" + std::to_string(i), spec));
+        s.alphabet, std::string("m").append(std::to_string(i)), spec));
   }
   s.cross = reachable_cross_product(machines);
   s.originals = bench::original_partitions(s.cross);

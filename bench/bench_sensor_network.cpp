@@ -24,7 +24,8 @@ std::vector<Dfsm> make_sensors(const std::shared_ptr<Alphabet>& alphabet,
   sensors.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i)
     sensors.push_back(make_mod_counter(
-        alphabet, "s" + std::to_string(i), 3, "evt" + std::to_string(i)));
+        alphabet, std::string("s").append(std::to_string(i)), 3,
+        std::string("evt").append(std::to_string(i))));
   return sensors;
 }
 
@@ -42,7 +43,7 @@ void report() {
       const GeneratedBackups backups = generate_backup_machines(cp, options);
       table.add_row({std::to_string(k), std::to_string(f),
                      std::to_string(cp.top.size()),
-                     "[" + bench::size_list(backups.machines) + "]",
+                     bench::size_list(backups.machines),
                      std::to_string(k * f),
                      std::to_string(backups.machines.size())});
     }

@@ -51,14 +51,16 @@ inline void require(bool ok, const char* what) {
   }
 }
 
-/// "39 39" style size list.
+/// "[39 39]" style size list ("[-]" for none).
 inline std::string size_list(const std::vector<Dfsm>& machines) {
-  std::string out;
+  std::string out = "[";
   for (const Dfsm& m : machines) {
-    if (!out.empty()) out += ' ';
+    if (out.size() > 1) out += ' ';
     out += std::to_string(m.size());
   }
-  return out.empty() ? "-" : out;
+  if (machines.empty()) out += '-';
+  out += ']';
+  return out;
 }
 
 // ------------------------------------------------------ JSON perf records

@@ -30,7 +30,7 @@ void report() {
     const std::uint64_t fus = fusion_state_space(backups.machines);
     table.add_row({row.label, std::to_string(row.faults),
                    std::to_string(cp.top.size()),
-                   "[" + bench::size_list(backups.machines) + "]",
+                   bench::size_list(backups.machines),
                    with_thousands(repl), with_thousands(fus),
                    std::to_string(repl / (fus == 0 ? 1 : fus)) + "x"});
   }

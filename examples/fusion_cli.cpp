@@ -102,8 +102,9 @@ int main(int argc, char** argv) {
     options.coverage_fraction = relaxed_fraction;
     RelaxedResult relaxed = generate_relaxed_fusion(cp.top, originals, options);
     for (std::size_t j = 0; j < relaxed.partitions.size(); ++j)
-      backups.machines.push_back(quotient_machine(
-          cp.top, relaxed.partitions[j], "F" + std::to_string(j + 1)));
+      backups.machines.push_back(
+          quotient_machine(cp.top, relaxed.partitions[j],
+                           std::string("F").append(std::to_string(j + 1))));
     backups.partitions = std::move(relaxed.partitions);
   } else {
     GenerateOptions options;

@@ -33,8 +33,8 @@
 // Replica-set walkthrough (any worker may die at any point):
 //   host A$ ./build/ffsm_shard_worker --listen 7001
 //   host B$ ./build/ffsm_shard_worker --listen 7001
-//   host C$ ./build/fusion_service --backend=replica-tcp \
-//                --connect hostA:7001,hostB:7001
+//   host C$ ./build/fusion_service --backend=replica-tcp
+//                --connect hostA:7001,hostB:7001    (one command line)
 // Seed-list order is priority order: every shard serves through hostA
 // while it answers, fails over to hostB mid-drain (losslessly — the batch
 // re-submits to the survivor) when hostA dies, and fails back once the

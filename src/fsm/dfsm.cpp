@@ -25,6 +25,15 @@ State Dfsm::run(State s, std::span<const EventId> sequence) const {
   return s;
 }
 
+std::vector<std::uint32_t> local_event_positions(
+    const Dfsm& machine, std::span<const EventId> events) {
+  std::vector<std::uint32_t> positions(events.size(), kIgnoredEvent);
+  for (std::size_t p = 0; p < events.size(); ++p)
+    if (const auto local = machine.event_index(events[p]))
+      positions[p] = *local;
+  return positions;
+}
+
 const std::string& Dfsm::state_name(State s) const {
   FFSM_EXPECTS(s < num_states_);
   return state_names_[s];

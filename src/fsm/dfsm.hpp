@@ -31,6 +31,9 @@ using State = std::uint32_t;
 
 inline constexpr State kInvalidState = static_cast<State>(-1);
 
+/// local_event_positions() entry for an event the machine ignores.
+inline constexpr std::uint32_t kIgnoredEvent = static_cast<std::uint32_t>(-1);
+
 class DfsmBuilder;
 
 class Dfsm {
@@ -97,6 +100,13 @@ class Dfsm {
   State initial_ = 0;
   std::uint32_t num_states_ = 0;
 };
+
+/// result[p] = position of events[p] in machine.events(), or kIgnoredEvent
+/// when the machine does not subscribe to it. Resolves subscriptions once,
+/// so a loop over a shared event list (a cross product's union, a fused
+/// system's routing table) steps each machine by step_local.
+[[nodiscard]] std::vector<std::uint32_t> local_event_positions(
+    const Dfsm& machine, std::span<const EventId> events);
 
 /// Incrementally assembles a Dfsm; `build()` validates totality, determinism
 /// and reachability.

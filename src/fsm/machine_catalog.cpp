@@ -437,7 +437,7 @@ Dfsm make_lfsr(const std::shared_ptr<Alphabet>& alphabet, std::string name,
   std::uint32_t reg = 1;
   do {
     orbit.push_back(reg);
-    b.state("x" + std::to_string(reg));
+    b.state(std::string("x").append(std::to_string(reg)));
     reg = step(reg);
   } while (reg != 1);
   const EventId clk = b.event("clk");

@@ -56,16 +56,12 @@ CrossProduct reachable_cross_product(std::span<const Dfsm> machines,
   events.erase(std::unique(events.begin(), events.end()), events.end());
   FFSM_EXPECTS(!events.empty());
 
-  // Per machine: map union-event position -> local event position (or npos
-  // for ignored events), to avoid re-resolving subscriptions inside the BFS.
-  constexpr std::uint32_t kIgnored = static_cast<std::uint32_t>(-1);
-  std::vector<std::vector<std::uint32_t>> local_index(machines.size());
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    local_index[i].resize(events.size(), kIgnored);
-    for (std::size_t pos = 0; pos < events.size(); ++pos)
-      if (const auto li = machines[i].event_index(events[pos]))
-        local_index[i][pos] = *li;
-  }
+  // Per machine: map union-event position -> local event position (or
+  // kIgnoredEvent), to avoid re-resolving subscriptions inside the BFS.
+  std::vector<std::vector<std::uint32_t>> local_index;
+  local_index.reserve(machines.size());
+  for (const Dfsm& m : machines)
+    local_index.push_back(local_event_positions(m, events));
 
   CrossProduct result;
   std::unordered_map<std::vector<State>, State, TupleHash> ids;
@@ -86,7 +82,8 @@ CrossProduct reachable_cross_product(std::span<const Dfsm> machines,
     const auto t = static_cast<State>(result.tuples.size());
     ids.emplace(tuple, t);
     result.tuples.push_back(tuple);
-    const State built = builder.state("t" + std::to_string(t));
+    const State built =
+        builder.state(std::string("t").append(std::to_string(t)));
     FFSM_ASSERT(built == t);
     return t;
   };
@@ -101,10 +98,8 @@ CrossProduct reachable_cross_product(std::span<const Dfsm> machines,
       const std::vector<State>& src = result.tuples[head];
       for (std::size_t i = 0; i < machines.size(); ++i) {
         const std::uint32_t li = local_index[i][pos];
-        scratch[i] = li == kIgnored
-                         ? src[i]
-                         : machines[i].step_local(
-                               src[i], static_cast<std::uint32_t>(li));
+        scratch[i] = li == kIgnoredEvent ? src[i]
+                                         : machines[i].step_local(src[i], li);
       }
       const State dst = intern_tuple(scratch);
       builder.transition(head, events[pos], dst);

@@ -55,7 +55,7 @@ Dfsm make_random_connected_dfsm(const std::shared_ptr<Alphabet>& alphabet,
   std::vector<EventId> events;
   events.reserve(k);
   for (std::uint32_t e = 0; e < k; ++e)
-    events.push_back(builder.event("e" + std::to_string(e)));
+    events.push_back(builder.event(std::string("e").append(std::to_string(e))));
   for (State s = 0; s < n; ++s)
     for (std::uint32_t e = 0; e < k; ++e)
       builder.transition(s, events[e], delta[s][e]);

@@ -171,8 +171,9 @@ GeneratedBackups generate_backup_machines(const CrossProduct& product,
   backups.stats = fusion.stats;
   backups.machines.reserve(fusion.partitions.size());
   for (std::size_t i = 0; i < fusion.partitions.size(); ++i)
-    backups.machines.push_back(quotient_machine(
-        product.top, fusion.partitions[i], "F" + std::to_string(i + 1)));
+    backups.machines.push_back(
+        quotient_machine(product.top, fusion.partitions[i],
+                         std::string("F").append(std::to_string(i + 1))));
   backups.partitions = std::move(fusion.partitions);
   return backups;
 }

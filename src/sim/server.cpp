@@ -10,11 +10,16 @@ State Server::state() const {
 }
 
 void Server::apply(EventId event) {
+  if (const auto local = machine_.event_index(event)) apply_local(*local);
+}
+
+void Server::apply_local(std::uint32_t local) {
+  FFSM_EXPECTS(local < machine_.events().size());
   if (!state_) {
-    if (machine_.subscribes(event)) ++dropped_events_;
+    ++dropped_events_;
     return;
   }
-  state_ = machine_.step(*state_, event);
+  state_ = machine_.step_local(*state_, local);
 }
 
 void Server::corrupt(State wrong_state) {

@@ -2,6 +2,10 @@
 //
 // Mirrors the paper's model: servers share no state, receive every event
 // from the environment, and ignore events outside their machine's event set.
+// A server steps through one path, apply_local(), by the event's position in
+// its machine's event list; apply(EventId) resolves that position first,
+// and FusedSystem's routing table resolves it once per system, so a server
+// that ignores an event is never called for it.
 // Crash faults erase the execution state; Byzantine faults silently replace
 // it with an arbitrary (wrong) one — the underlying DFSM itself stays intact
 // in both cases (§2: the machine description survives on permanent storage,
@@ -33,11 +37,18 @@ class Server {
   /// Current execution state; contract violation when crashed.
   [[nodiscard]] State state() const;
 
-  /// Applies an environment event; crashed servers drop events (the
-  /// environment quiesces during recovery in the paper's model, but the
-  /// simulator tolerates stragglers by making this a no-op and counting
-  /// the drop — see dropped_events()).
+  /// Applies an environment event: resolves its position in
+  /// machine().events() and calls apply_local(). An event outside the
+  /// machine's event set is ignored, crashed or not.
   void apply(EventId event);
+
+  /// Applies the subscribed event machine().events()[local]; the one
+  /// stepping path (apply() and FusedSystem's routing table both end
+  /// here). A crashed server drops the event (the environment quiesces
+  /// during recovery in the paper's model, but the simulator tolerates
+  /// stragglers by making this a no-op and counting the drop — see
+  /// dropped_events()).
+  void apply_local(std::uint32_t local);
 
   /// Subscribed events dropped while crashed (foreign events are ignored
   /// healthy or not, so they never count). A scenario that claims the

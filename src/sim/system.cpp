@@ -27,8 +27,9 @@ FusedSystem::FusedSystem(std::vector<Dfsm> machines,
   servers_.reserve(originals_.size() + fusion.partitions.size());
   for (const Dfsm& m : originals_) servers_.emplace_back(m);
   for (std::size_t j = 0; j < fusion.partitions.size(); ++j)
-    servers_.emplace_back(quotient_machine(cross_.top, fusion.partitions[j],
-                                           "F" + std::to_string(j + 1)));
+    servers_.emplace_back(
+        quotient_machine(cross_.top, fusion.partitions[j],
+                         std::string("F").append(std::to_string(j + 1))));
 
   // Per-server mapping machine-state -> partition block. For backups the
   // quotient numbers its states by partition block, so the map is identity;
@@ -50,12 +51,38 @@ FusedSystem::FusedSystem(std::vector<Dfsm> machines,
                      std::make_move_iterator(fusion.partitions.begin()),
                      std::make_move_iterator(fusion.partitions.end()));
   ghost_ = cross_.top.initial();
+
+  // The routing table: EventId -> top event position -> every server's
+  // local index of that event.
+  const std::span<const EventId> events = cross_.top.events();
+  event_position_.assign(static_cast<std::size_t>(events.back()) + 1,
+                         kIgnoredEvent);
+  for (std::uint32_t p = 0; p < events.size(); ++p)
+    event_position_[events[p]] = p;
+  const std::size_t servers = servers_.size();
+  local_.assign(events.size() * servers, kIgnoredEvent);
+  for (std::size_t i = 0; i < servers; ++i) {
+    const std::vector<std::uint32_t> positions =
+        local_event_positions(servers_[i].machine(), events);
+    std::size_t routed = 0;
+    for (std::size_t p = 0; p < events.size(); ++p) {
+      local_[p * servers + i] = positions[p];
+      routed += positions[p] != kIgnoredEvent;
+    }
+    // No server subscribes to an event the top ignores.
+    FFSM_ENSURES(routed == servers_[i].machine().events().size());
+  }
 }
 
 void FusedSystem::apply(EventId event) {
   if (journaling_) log_.append(event);
-  ghost_ = cross_.top.step(ghost_, event);
-  for (Server& s : servers_) s.apply(event);
+  if (event >= event_position_.size()) return;
+  const std::uint32_t position = event_position_[event];
+  if (position == kIgnoredEvent) return;
+  ghost_ = cross_.top.step_local(ghost_, position);
+  const std::uint32_t* row = local_.data() + position * servers_.size();
+  for (std::size_t i = 0; i < servers_.size(); ++i)
+    if (row[i] != kIgnoredEvent) servers_[i].apply_local(row[i]);
 }
 
 std::size_t FusedSystem::run(EventSource& source) {

@@ -8,6 +8,19 @@
 // paper's failure-free oracle). Crash and Byzantine faults hit individual
 // servers; recover() executes Algorithm 3 over the survivors' reports and
 // reinstalls every server's correct state.
+//
+// Delivery goes through one routing table built at construction: an array
+// from EventId to the event's position in top().events(), and per position
+// a row with every server's local index of that event, in server order, or
+// kIgnoredEvent for a server that ignores it. The ghost steps by the top's
+// position, each subscriber by its local index (Server::apply_local, the
+// servers' one stepping path), and a server that ignores the event is never
+// touched — the paper's §2 rule that a server ignores events outside its
+// event set, resolved once per system instead of once per event and server.
+// Every server's events are a subset of the top's (the originals' by the
+// cross product's union, the backups' because they are quotients of the
+// top), so an id the top does not subscribe to, or one interned after
+// construction, concerns no server.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +78,8 @@ class FusedSystem {
   /// Fault-free reference state of the top (the simulator's oracle).
   [[nodiscard]] State ghost_top_state() const noexcept { return ghost_; }
 
-  /// Delivers one event to every server (and the ghost).
+  /// Delivers one event to every server that subscribes to it (and the
+  /// ghost); journals it first when keep_event_log is set.
   void apply(EventId event);
 
   /// Pumps the source dry; returns the number of events delivered.
@@ -122,6 +136,13 @@ class FusedSystem {
   std::vector<Partition> partitions_;          // n originals then m backups
   std::vector<std::vector<std::uint32_t>> state_to_block_;  // per server
   std::vector<Server> servers_;
+  // The routing table holds indices, not pointers, so the system stays
+  // copyable and movable. event_position_[e] = position of EventId e in
+  // top().events(), or kIgnoredEvent; sized by the top's largest EventId.
+  std::vector<std::uint32_t> event_position_;
+  // local_[p * servers + i] = server i's local index of top event p, or
+  // kIgnoredEvent when server i ignores it.
+  std::vector<std::uint32_t> local_;
   EventLog log_;
   bool journaling_ = false;
   State ghost_ = 0;

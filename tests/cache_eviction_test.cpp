@@ -370,8 +370,9 @@ TEST(CacheEviction, PoliciesServeBitIdenticalCoversUnderThreads) {
         EXPECT_TRUE(identical.load())
             << "policy=" << static_cast<int>(policy)
             << " capacity=" << capacity << " threads=" << thread_count;
-        if (policy != CacheEvictionPolicy::kUnbounded)
+        if (policy != CacheEvictionPolicy::kUnbounded) {
           EXPECT_LE(cache.size(), capacity);
+        }
       }
     }
   }

@@ -129,7 +129,8 @@ TEST(Isomorphism, RandomMachineRelabelInvariance) {
   DfsmBuilder b("rev", al);
   std::vector<State> remap(m.size());
   for (State s = 0; s < m.size(); ++s)
-    remap[m.size() - 1 - s] = b.state("p" + std::to_string(s));
+    remap[m.size() - 1 - s] =
+        b.state(std::string("p").append(std::to_string(s)));
   for (const EventId e : m.events()) b.event(al->name(e));
   for (State s = 0; s < m.size(); ++s)
     for (std::uint32_t pos = 0;

@@ -159,8 +159,8 @@ TEST(CrossProduct, SizeNeverExceedsProductOfSizes) {
     spec.states = 4;
     spec.num_events = 2;
     spec.seed = 100u + static_cast<std::uint64_t>(i);
-    machines.push_back(
-        make_random_connected_dfsm(al, "r" + std::to_string(i), spec));
+    machines.push_back(make_random_connected_dfsm(
+        al, std::string("r").append(std::to_string(i)), spec));
   }
   const CrossProduct cp = reachable_cross_product(machines);
   EXPECT_LE(cp.top.size(), 64u);

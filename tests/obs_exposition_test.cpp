@@ -126,7 +126,10 @@ TEST(Exposition, EveryClusterEmittedSeriesMapsToALegalName) {
   // embeds it in a series name, and the mapping must still produce a
   // legal metric (the key lands in a label).
   const CrossProduct product = testing::counter_pair_product(4);
-  FusionCluster cluster({.shards = 2, .parallel = false});
+  FusionClusterOptions options;
+  options.shards = 2;
+  options.parallel = false;
+  FusionCluster cluster(options);
   cluster.add_top("8 weird:top.key{}", product.top);
   cluster.add_top("plain", product.top);
   const std::vector<Partition> originals =

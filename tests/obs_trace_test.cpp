@@ -29,7 +29,8 @@ TraceSpan named(const std::string& name, std::uint64_t start = 0) {
 TEST(RingTraceRecorder, KeepsTheMostRecentWindowAcrossWraparound) {
   RingTraceRecorder ring(8);
   EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 1; i <= 20; ++i) ring.record(named("s" + std::to_string(i)));
+  for (int i = 1; i <= 20; ++i)
+    ring.record(named(std::string("s").append(std::to_string(i))));
   EXPECT_EQ(ring.recorded(), 20u);
 
   const std::vector<TraceSpan> spans = ring.snapshot();

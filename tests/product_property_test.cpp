@@ -23,8 +23,8 @@ std::vector<Dfsm> random_system(const std::shared_ptr<Alphabet>& al,
     spec.states = 3 + (seed + i) % 3;
     spec.num_events = 2;
     spec.seed = seed * 71 + i;
-    machines.push_back(
-        make_random_connected_dfsm(al, "m" + std::to_string(i), spec));
+    machines.push_back(make_random_connected_dfsm(
+        al, std::string("m").append(std::to_string(i)), spec));
   }
   return machines;
 }

@@ -34,7 +34,7 @@ Pipeline build_pipeline(std::uint32_t machine_count, std::uint32_t states,
     spec.num_events = 2;
     spec.seed = seed * 97 + i;
     p.machines.push_back(make_random_connected_dfsm(
-        p.alphabet, "m" + std::to_string(i), spec));
+        p.alphabet, std::string("m").append(std::to_string(i)), spec));
   }
   p.cross = reachable_cross_product(p.machines);
   for (std::uint32_t i = 0; i < p.cross.machine_count(); ++i)
@@ -73,8 +73,9 @@ TEST_P(FusionPipelineSweep, GeneratorPostconditions) {
   // 4. dmin rose to exactly f+1 when machines were added (each added
   //    machine contributes exactly +1 to the minimum).
   if (!result.partitions.empty() &&
-      result.stats.dmin_before != FaultGraph::kInfinity)
+      result.stats.dmin_before != FaultGraph::kInfinity) {
     EXPECT_EQ(result.stats.dmin_after, f + 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -137,9 +137,9 @@ TEST(FusionCluster, ParallelAndSerialDrainsAgree) {
     FusionCluster& cluster = *cluster_ptr;
     for (int c = 0; c < 4; ++c) {
       const auto n = static_cast<std::uint32_t>(c);
-      cluster.submit("small", "s" + std::to_string(c),
+      cluster.submit("small", std::string("s").append(std::to_string(c)),
                      {fx.small_originals, 1 + n % 2});
-      cluster.submit("large", "l" + std::to_string(c),
+      cluster.submit("large", std::string("l").append(std::to_string(c)),
                      {fx.large_originals, 1 + n % 3});
     }
     return cluster.drain();
@@ -260,9 +260,9 @@ TEST(FusionCluster, BoundedClusterMatchesUnboundedResults) {
     const auto cluster_ptr = fx.make_cluster(options);
     FusionCluster& cluster = *cluster_ptr;
     for (const std::uint32_t f : {1u, 2u, 3u}) {
-      cluster.submit("small", "s" + std::to_string(f),
+      cluster.submit("small", std::string("s").append(std::to_string(f)),
                      {fx.small_originals, f});
-      cluster.submit("large", "l" + std::to_string(f),
+      cluster.submit("large", std::string("l").append(std::to_string(f)),
                      {fx.large_originals, f});
     }
     return cluster.drain();

@@ -8,39 +8,14 @@
 #include <tuple>
 #include <vector>
 
-#include "fsm/machine_catalog.hpp"
 #include "sim/system.hpp"
+#include "test_support.hpp"
 
 namespace ffsm {
 namespace {
 
 std::vector<Dfsm> catalog_system(std::uint32_t kind) {
-  auto al = Alphabet::create();
-  std::vector<Dfsm> machines;
-  switch (kind) {
-    case 0:  // the paper's canonical pair
-      machines.push_back(make_paper_machine_a(al));
-      machines.push_back(make_paper_machine_b(al));
-      break;
-    case 1:  // counters + divider (row 3 style, shared alphabet)
-      machines.push_back(make_mod_counter(al, "c1", 3, "1"));
-      machines.push_back(make_mod_counter(al, "c0", 3, "0"));
-      machines.push_back(make_divisibility_checker(al, "div", 3));
-      break;
-    case 2:  // protocol mix over disjoint alphabets
-      machines.push_back(make_mesi(al));
-      machines.push_back(make_toggle_switch(al, "t"));
-      break;
-    case 3:  // extended catalog machines
-      machines.push_back(make_moesi(al));
-      machines.push_back(make_sliding_window(al, "win", 2));
-      break;
-    default:
-      machines.push_back(make_traffic_light(al));
-      machines.push_back(make_dhcp_client(al));
-      break;
-  }
-  return machines;
+  return testing::catalog_system(kind, Alphabet::create());
 }
 
 using ScenarioParam = std::tuple<std::uint32_t,   // system kind

@@ -309,8 +309,9 @@ TEST(FusionService, StatsExposeCacheCounters) {
 TEST(FusionService, BoundedCacheServiceStaysUnderCapAndServesIdentically) {
   const ServiceFixture fx;
 
-  FusionService unbounded = fx.make_service({
-      .cache_config = {CacheEvictionPolicy::kUnbounded, 0}});
+  FusionServiceOptions unbounded_options;
+  unbounded_options.cache_config = {CacheEvictionPolicy::kUnbounded, 0};
+  FusionService unbounded = fx.make_service(unbounded_options);
   unbounded.submit("c", {fx.originals, 3, DescentPolicy::kFewestBlocks});
   const auto expected = unbounded.drain();
   ASSERT_EQ(expected.size(), 1u);

@@ -318,7 +318,7 @@ TEST(SubprocessCluster, ServesBitIdenticallyToInProcessCluster) {
   const auto submit_stream = [&](FusionCluster& cluster) {
     for (int c = 0; c < 3; ++c) {
       const auto f = static_cast<std::uint32_t>(1 + c % 3);
-      cluster.submit("small", "s" + std::to_string(c),
+      cluster.submit("small", std::string("s").append(std::to_string(c)),
                      {fx.small_originals, f});
       cluster.submit("large", "l" + std::to_string(c),
                      {fx.large_originals, f,

@@ -183,7 +183,8 @@ TEST(SingleReplica, BackpressureWindowSaturationDrainsInBoundedExchanges) {
                   c % 2 == 0 ? DescentPolicy::kFewestBlocks
                              : DescentPolicy::kMostBlocks};
     asks.push_back(ask);
-    tickets.push_back(backend.submit("small", "c" + std::to_string(c),
+    tickets.push_back(backend.submit("small",
+                                     std::string("c").append(std::to_string(c)),
                                      {fx.small_originals, ask.f,
                                       ask.policy}));
   }
@@ -335,9 +336,9 @@ TEST(SingleReplicaCluster, ServesBitIdenticallyToInProcessCluster) {
   const auto submit_stream = [&](FusionCluster& cluster) {
     for (int c = 0; c < 3; ++c) {
       const auto f = static_cast<std::uint32_t>(1 + c % 3);
-      cluster.submit("small", "s" + std::to_string(c),
+      cluster.submit("small", std::string("s").append(std::to_string(c)),
                      {fx.small_originals, f});
-      cluster.submit("large", "l" + std::to_string(c),
+      cluster.submit("large", std::string("l").append(std::to_string(c)),
                      {fx.large_originals, f,
                       c % 2 == 0 ? DescentPolicy::kFewestBlocks
                                  : DescentPolicy::kMostBlocks});

@@ -113,7 +113,8 @@ TEST(Stress, WideSystemManyMachines) {
   std::vector<Dfsm> machines;
   for (int i = 0; i < 8; ++i)
     machines.push_back(make_toggle_switch(
-        al, "t" + std::to_string(i), "flip" + std::to_string(i)));
+        al, std::string("t").append(std::to_string(i)),
+        std::string("flip").append(std::to_string(i))));
   const CrossProduct cp = reachable_cross_product(machines);
   ASSERT_EQ(cp.top.size(), 256u);
 

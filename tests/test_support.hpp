@@ -31,6 +31,52 @@ inline CrossProduct counter_pair_product(std::uint32_t k = 8) {
   return reachable_cross_product(machines);
 }
 
+/// The fused runtime's reference originals: MESI, TCP and the paper's
+/// machines A and B over one alphabet (a 176-state top; with f = 2 it is
+/// the system perfbench's recover workload runs).
+inline std::vector<Dfsm> recover_mix_machines(
+    const std::shared_ptr<Alphabet>& alphabet) {
+  std::vector<Dfsm> machines;
+  machines.push_back(make_mesi(alphabet));
+  machines.push_back(make_tcp(alphabet));
+  machines.push_back(make_paper_machine_a(alphabet));
+  machines.push_back(make_paper_machine_b(alphabet));
+  return machines;
+}
+
+/// Number of catalog_system() kinds.
+inline constexpr std::uint32_t kCatalogSystemKinds = 5;
+
+/// The end-to-end sweeps' catalog systems, kind 0..kCatalogSystemKinds-1.
+inline std::vector<Dfsm> catalog_system(
+    std::uint32_t kind, const std::shared_ptr<Alphabet>& alphabet) {
+  std::vector<Dfsm> machines;
+  switch (kind) {
+    case 0:  // the paper's canonical pair
+      machines.push_back(make_paper_machine_a(alphabet));
+      machines.push_back(make_paper_machine_b(alphabet));
+      break;
+    case 1:  // counters + divider (row 3 style, shared alphabet)
+      machines.push_back(make_mod_counter(alphabet, "c1", 3, "1"));
+      machines.push_back(make_mod_counter(alphabet, "c0", 3, "0"));
+      machines.push_back(make_divisibility_checker(alphabet, "div", 3));
+      break;
+    case 2:  // protocol mix over disjoint alphabets
+      machines.push_back(make_mesi(alphabet));
+      machines.push_back(make_toggle_switch(alphabet, "t"));
+      break;
+    case 3:  // extended catalog machines
+      machines.push_back(make_moesi(alphabet));
+      machines.push_back(make_sliding_window(alphabet, "win", 2));
+      break;
+    default:
+      machines.push_back(make_traffic_light(alphabet));
+      machines.push_back(make_dhcp_client(alphabet));
+      break;
+  }
+  return machines;
+}
+
 /// The product's originals as closed partitions of its top.
 inline std::vector<Partition> component_partitions(const CrossProduct& cp) {
   std::vector<Partition> out;

@@ -2,12 +2,12 @@
 // bounded per-shard closure caches x pluggable shard backends, served by
 // a FusionCluster fanning shard drains across one pool. Doubles as a
 // large-workload regression test: bounded-cache runs must serve
-// bit-identical results to the unbounded run, every shard cache must
-// respect its capacity, and the out-of-process backends — subprocess
-// workers over socketpairs, a loopback-TCP worker behind a listener
-// (tcp-bin: a one-endpoint replica-tcp shard), and a two-replica seed list
-// per shard (replica-tcp) with a live HealthMonitor probing both replicas
-// — must serve bit-identical responses to the in-process one for the same
+// bit-identical results to the default-capacity run (which never evicts),
+// every shard cache must respect its capacity, and the out-of-process
+// backends — subprocess workers over socketpairs, a loopback-TCP worker
+// behind a listener (tcp-bin: a one-endpoint replica-tcp shard), and a
+// two-replica seed list per shard (replica-tcp) with a live HealthMonitor
+// probing both replicas — must serve bit-identical responses to the in-process one for the same
 // request stream — all hard-asserted here, so a violation fails CI, as is
 // the loopback wire's cold drain landing within 15% of in-process. The
 // JSON entries carry a "backend" field so in-process vs subprocess vs
@@ -59,11 +59,11 @@ Workload make_workload() {
 
 std::unique_ptr<FusionCluster> make_cluster(const Workload& w,
                                             ThreadPool* pool,
-                                            LowerCoverCacheConfig config) {
+                                            std::size_t cache_capacity) {
   FusionClusterOptions options;
   options.shards = 3;
   options.pool = pool;
-  options.cache_config = config;
+  options.cache_capacity = cache_capacity;
   auto cluster = std::make_unique<FusionCluster>(options);
   for (std::size_t t = 0; t < w.keys.size(); ++t)
     cluster->add_top(w.keys[t], w.products[t].top);
@@ -92,30 +92,25 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
 
   struct Config {
     const char* name;
-    LowerCoverCacheConfig cache;
+    std::size_t capacity;
   };
+  // The default capacity holds every cover this workload descends
+  // through, so its run never evicts and is the bit-identity baseline.
+  // 16 per top still holds each top's covers; 4 does not, and evicts.
   const Config configs[] = {
-      {"unbounded", {CacheEvictionPolicy::kUnbounded, 0}},
-      {"lru_cap16", {CacheEvictionPolicy::kLru, 16}},
-      {"lru_cap4", {CacheEvictionPolicy::kLru, 4}},
-      {"epoch_cap16", {CacheEvictionPolicy::kEpoch, 16}},
-      {"lfu_admit_cap4", {CacheEvictionPolicy::kLfuAdmit, 4}},
+      {"lru_default", LowerCoverCache::kDefaultCapacity},
+      {"lru_cap16", 16},
+      {"lru_cap4", 4},
   };
 
-  std::vector<std::vector<Partition>> baseline;  // unbounded responses
-  // The admission tentpole's measured target: at the same capacity 4 that
-  // thrashes plain LRU, the TinyLFU gate must keep the hot descent
-  // prefixes resident — hard-asserted below as a >= 2x warm-drain win.
-  double lru_cap4_warm_ms = 0.0;
-  double lfu_cap4_warm_ms = 0.0;
-  TextTable table({"cache", "cold drain ms", "warm drain ms",
-                   "cache entries", "evictions", "admit rejects",
-                   "hit rate %"});
+  std::vector<std::vector<Partition>> baseline;  // lru_default responses
+  TextTable table({"cache", "capacity", "cold drain ms", "warm drain ms",
+                   "cache entries", "evictions", "hit rate %"});
   for (const Config& config : configs) {
     // Cold: fresh cluster, first drain computes everything. Warm: same
     // clients resubmitted, descents served from whatever survived the
     // bound.
-    auto cluster = make_cluster(w, &pool, config.cache);
+    auto cluster = make_cluster(w, &pool, config.capacity);
     submit_clients(*cluster, w);
     double cold_ms = 0.0;
     std::vector<FusionCluster::Response> responses;
@@ -139,9 +134,14 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
         3, 1);
     json.add_metric(config.name, "cold_drain_ms", cold_ms);
 
-    // Hard acceptance checks: identical results to the unbounded run and
-    // per-service cache occupancy within the configured cap.
+    // Hard acceptance checks: the baseline never evicts, every bounded run
+    // serves its fusions bit for bit, and per-service cache occupancy
+    // stays within the capacity.
+    const auto stats = cluster->stats();
     if (baseline.empty()) {
+      bench::require(stats.cache_evictions == 0 &&
+                         stats.cache_eviction_misses == 0,
+                     "default-capacity cache never evicts");
       baseline.reserve(responses.size());
       for (const auto& r : responses) baseline.push_back(r.result.partitions);
     } else {
@@ -151,25 +151,23 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
         bench::require(responses[i].result.partitions == baseline[i],
                        "bounded cache serves bit-identical fusions");
     }
-    if (config.cache.policy != CacheEvictionPolicy::kUnbounded)
-      for (const std::string& key : w.keys)
-        bench::require(
-            cluster->service(key).cache().size() <= config.cache.capacity,
-            "shard cache stays within its configured capacity");
+    for (const std::string& key : w.keys)
+      bench::require(cluster->service(key).cache().size() <= config.capacity,
+                     "shard cache stays within its configured capacity");
 
-    const auto stats = cluster->stats();
     const double lookups =
         static_cast<double>(stats.cache_hits + stats.cache_cold_misses +
                             stats.cache_eviction_misses);
     const double hit_rate =
         lookups > 0 ? 100.0 * static_cast<double>(stats.cache_hits) / lookups
                     : 0.0;
-    table.add_row({config.name, std::to_string(cold_ms),
-                   std::to_string(warm_ms),
+    table.add_row({config.name, std::to_string(config.capacity),
+                   std::to_string(cold_ms), std::to_string(warm_ms),
                    std::to_string(stats.cache_entries),
                    std::to_string(stats.cache_evictions),
-                   std::to_string(stats.cache_admission_rejects),
                    std::to_string(hit_rate)});
+    json.add_metric(config.name, "capacity",
+                    static_cast<double>(config.capacity));
     json.add_metric(config.name, "warm_drain_ms", warm_ms);
     json.add_metric(config.name, "cache_entries",
                     static_cast<double>(stats.cache_entries));
@@ -178,28 +176,9 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
     json.add_metric(config.name, "cache_hit_rate", hit_rate);
     json.add_metric(config.name, "cache_bytes",
                     static_cast<double>(stats.cache_bytes));
-    json.add_metric(config.name, "cache_admission_rejects",
-                    static_cast<double>(stats.cache_admission_rejects));
-    json.add_metric(config.name, "cache_sketch_bytes",
-                    static_cast<double>(stats.cache_sketch_bytes));
-    if (std::string(config.name) == "lru_cap4") lru_cap4_warm_ms = warm_ms;
-    if (std::string(config.name) == "lfu_admit_cap4")
-      lfu_cap4_warm_ms = warm_ms;
   }
   std::printf("%zu clients x %zu tops on %zu shards\n%s\n", std::size_t{8},
               w.keys.size(), std::size_t{3}, table.to_string().c_str());
-  // The admission tentpole's acceptance bar: frequency-gated admission at
-  // capacity 4 must cut the scan-thrashed LRU warm drain at least in half
-  // (in practice it restores most of the unbounded hit rate). The
-  // bit-identity of its responses was already asserted against the
-  // unbounded baseline above.
-  std::printf(
-      "warm drain at capacity 4: lru %.1f ms vs lfu_admit %.1f ms\n\n",
-      lru_cap4_warm_ms, lfu_cap4_warm_ms);
-  json.add_metric("lfu_admit_cap4", "warm_drain_vs_lru_cap4",
-                  lfu_cap4_warm_ms / lru_cap4_warm_ms);
-  bench::require(lfu_cap4_warm_ms <= 0.5 * lru_cap4_warm_ms,
-                 "lfu_admit warm drain at most half of lru at capacity 4");
 }
 
 /// The tentpole acceptance check as a benchmark: the same request stream
@@ -213,7 +192,7 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
       "== Serving backends: in-process vs subprocess vs tcp-bin vs "
       "replica-tcp shards ==\n");
   const std::size_t clients = 8 * w.keys.size();
-  const LowerCoverCacheConfig cache = {CacheEvictionPolicy::kLru, 64};
+  const std::size_t cache_capacity = 64;
 
   // One listener worker for every TCP shard: loopback stand-in for a
   // remote host, each shard on its own connection. The replica entry adds
@@ -244,7 +223,7 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
     // one or two cores — and that scheduling noise, not the encoding, was
     // most of the out-of-process cold-drain gap.
     base.service.threads = 0;
-    base.service.cache_config = cache;
+    base.service.cache_capacity = cache_capacity;
     entries.push_back({"inprocess", base});
     Entry subprocess{"subprocess", base};
     subprocess.config.kind = BackendConfig::Kind::kSubprocess;
@@ -278,7 +257,7 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
     FusionClusterOptions options;
     options.shards = 3;
     options.pool = &pool;
-    options.cache_config = cache;
+    options.cache_capacity = cache_capacity;
     options.obs = &backend_obs;
     options.backend_factory = make_backend_factory(std::move(config));
     auto cluster = std::make_unique<FusionCluster>(options);
@@ -326,7 +305,7 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
 
     const auto stats = cluster->stats();
     for (const std::string& key : w.keys)
-      bench::require(cluster->top_stats(key).cache_entries <= cache.capacity,
+      bench::require(cluster->top_stats(key).cache_entries <= cache_capacity,
                      "per-top cache stays within its configured capacity");
     // A healthy bench run never restarts a worker, never fails over to a
     // backup replica and never fails a health probe; a nonzero count here
@@ -422,7 +401,7 @@ void report_obs(bench::JsonReporter& json, const Workload& w,
   std::printf("== Observability: no-op recorder vs instrumented drains ==\n");
   json.set_backend("inprocess");
   const std::size_t clients = 8 * w.keys.size();
-  const LowerCoverCacheConfig cache = {CacheEvictionPolicy::kLru, 64};
+  const std::size_t cache_capacity = 64;
   // Warm drains are ~3 ms, so a handful of samples leaves any statistic
   // hostage to scheduler noise; 33 interleaved rounds cost well under a
   // second and let every variant's median converge.
@@ -459,7 +438,7 @@ void report_obs(bench::JsonReporter& json, const Workload& w,
     FusionClusterOptions options;
     options.shards = 3;
     options.pool = &pool;
-    options.cache_config = cache;
+    options.cache_capacity = cache_capacity;
     options.obs = &obs;
     options.telemetry_poll_us = poll_us;
     // Default 6 x 10 s windows: the whole run fits the horizon, so the
@@ -569,12 +548,12 @@ void report_obs(bench::JsonReporter& json, const Workload& w,
   config.endpoints = {{"127.0.0.1", worker.port()}};
   config.service.parallel = true;
   config.service.threads = 0;
-  config.service.cache_config = cache;
+  config.service.cache_capacity = cache_capacity;
   config.obs = &wire_obs;
   FusionClusterOptions options;
   options.shards = 3;
   options.pool = &pool;
-  options.cache_config = cache;
+  options.cache_capacity = cache_capacity;
   options.obs = &wire_obs;
   // The full telemetry plane, against real worker processes: the poller's
   // kObs exchanges interleave with the drains on the same connections.
@@ -703,7 +682,7 @@ void cluster_drain(benchmark::State& state) {
   FusionClusterOptions options;
   options.shards = static_cast<std::size_t>(state.range(0));
   options.pool = &pool;
-  options.cache_config = {CacheEvictionPolicy::kLru, 64};
+  options.cache_capacity = 64;
   FusionCluster cluster(options);
   for (std::size_t t = 0; t < w.keys.size(); ++t)
     cluster.add_top(w.keys[t], w.products[t].top);

@@ -5,8 +5,8 @@
 // one FusionService per registered top machine (the expensive reachable
 // cross product), with tops consistently hashed onto shards. Clients
 // submit requests against any registered top; drain() fans the shard
-// backlogs out across the thread pool. Every top bounds its closure cache
-// (LRU here), so a long-lived cluster serves an unbounded request stream
+// backlogs out across the thread pool. Every top bounds its LRU closure
+// cache, so a long-lived cluster serves an unbounded request stream
 // in bounded memory — an evicted cover is simply recomputed on the next
 // miss.
 //
@@ -174,10 +174,10 @@ int main(int argc, char** argv) {
   // spans, every backend's wire timing, and (merged over kObs) each
   // worker's generation spans.
   obs::Obs obs;
-  const LowerCoverCacheConfig cache_config = {CacheEvictionPolicy::kLru, 64};
+  const std::size_t cache_capacity = 64;
   cli.backend.service.parallel = true;
   cli.backend.service.threads = 4;
-  cli.backend.service.cache_config = cache_config;
+  cli.backend.service.cache_capacity = cache_capacity;
   cli.backend.obs = &obs;
   if (cli.backend.kind == BackendConfig::Kind::kReplica) {
     // One monitor probes the whole seed list for every shard; shared into
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   FusionClusterOptions options;
   options.shards = cli.shards;
   options.pool = &pool;
-  options.cache_config = cache_config;
+  options.cache_capacity = cache_capacity;
   options.obs = &obs;
   // With a metrics endpoint, run the telemetry poller too: kObs snapshots
   // pulled every 100 ms feed the windowed view while drains are live.
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
               "%llu hits / %llu cold + %llu eviction misses, "
               "%llu evictions\n",
               stats.cache_entries, stats.cache_bytes / 1024,
-              cache_config.capacity,
+              cache_capacity,
               static_cast<unsigned long long>(stats.cache_hits),
               static_cast<unsigned long long>(stats.cache_cold_misses),
               static_cast<unsigned long long>(stats.cache_eviction_misses),

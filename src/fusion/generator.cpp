@@ -53,7 +53,7 @@ FusionResult generate_fusion(const Dfsm& top,
   // The memo turns the shared prefix of all descents (every descent starts
   // at the identity partition) into lookups; a caller-provided cache extends
   // the sharing across requests (generate_fusion_batch).
-  LowerCoverCache local_cache(options.cache_config);
+  LowerCoverCache local_cache;
   LowerCoverCache* cache =
       options.cache != nullptr ? options.cache : &local_cache;
 
@@ -116,7 +116,7 @@ std::vector<FusionResult> generate_fusion_batch(
   std::vector<FusionResult> results(requests.size());
   if (requests.empty()) return results;
 
-  LowerCoverCache local_cache(options.cache_config);
+  LowerCoverCache local_cache;
   LowerCoverCache* cache =
       options.cache != nullptr ? options.cache : &local_cache;
 

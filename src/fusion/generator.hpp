@@ -56,16 +56,13 @@ struct GenerateOptions {
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Optional lower-cover memo shared across calls; must be dedicated to
-  /// `top`. nullptr = a private per-call cache, which still serves the
-  /// covers later descents repeat (every descent restarts at the
-  /// identity).
-  LowerCoverCache* cache = nullptr;
-  /// Eviction policy + capacity for the private per-call cache when
-  /// `cache == nullptr`. A bounded cache never changes results: an evicted
+  /// `top`. nullptr = a private per-call cache of the default capacity,
+  /// which still serves the covers later descents repeat (every descent
+  /// restarts at the identity). Capacity never changes results: an evicted
   /// cover is recomputed on the next miss (a descent keeps the cover it is
   /// currently scanning alive via shared_ptr), so outputs are bit-identical
   /// at any capacity — only the recompute count varies.
-  LowerCoverCacheConfig cache_config = {};
+  LowerCoverCache* cache = nullptr;
   /// Optional observability context (nullptr = uninstrumented), forwarded
   /// into every lower-cover call (see LowerCoverOptions::obs). Never
   /// affects results.
@@ -144,14 +141,11 @@ struct BatchOptions {
   /// Fan requests across the pool (inner loops run inline on the worker).
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Closure memo shared by all requests; nullptr = a per-batch cache.
-  /// Passing a persistent cache amortizes work across successive batches
-  /// (see sim::FusionService).
+  /// Closure memo shared by all requests; nullptr = a per-batch cache of
+  /// the default capacity. Passing a persistent cache amortizes work
+  /// across successive batches (see sim::FusionService); its capacity
+  /// never changes results.
   LowerCoverCache* cache = nullptr;
-  /// Bound + eviction policy for the per-batch cache when `cache ==
-  /// nullptr` (see GenerateOptions::cache_config; results never depend on
-  /// capacity).
-  LowerCoverCacheConfig cache_config = {};
   /// Optional observability context (nullptr = uninstrumented): every
   /// request runs under a `gen.request` span tagged with `obs_top`, and
   /// obs flows down into the per-request generator + lower-cover calls.

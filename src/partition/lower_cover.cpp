@@ -9,89 +9,8 @@
 
 namespace ffsm {
 
-namespace {
-
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-FrequencySketch::FrequencySketch(std::size_t capacity)
-    : width_(next_pow2(std::max<std::size_t>(64, 8 * capacity))),
-      // Classic TinyLFU ages once the sample holds ~10x the resident set's
-      // worth of accesses; tying it to width keeps the period proportional
-      // to the sketch's resolution.
-      sample_size_(8 * width_),
-      table_(new std::atomic<std::uint8_t>[kDepth * width_ / 2]) {
-  for (std::size_t i = 0; i < kDepth * width_ / 2; ++i)
-    table_[i].store(0, std::memory_order_relaxed);
-}
-
-std::size_t FrequencySketch::index(std::size_t hash,
-                                   std::size_t row) const noexcept {
-  // Per-row remix of the key hash (splitmix64-style finalizer over a
-  // row-salted seed) so the four rows probe independent positions.
-  std::uint64_t x = static_cast<std::uint64_t>(hash) +
-                    (row + 1) * 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x) & (width_ - 1);
-}
-
-void FrequencySketch::increment(std::size_t hash) noexcept {
-  for (std::size_t row = 0; row < kDepth; ++row) {
-    const std::size_t idx = row * width_ + index(hash, row);
-    std::atomic<std::uint8_t>& byte = table_[idx / 2];
-    const std::uint8_t shift = (idx & 1) ? 4 : 0;
-    // Load/store (not CAS): a concurrent increment may be lost, which only
-    // under-counts — acceptable for an estimator, and race-free.
-    const std::uint8_t v = byte.load(std::memory_order_relaxed);
-    const std::uint8_t count = (v >> shift) & 0x0f;
-    if (count < kMaxCount)
-      byte.store(
-          static_cast<std::uint8_t>(v + (std::uint8_t{1} << shift)),
-          std::memory_order_relaxed);
-  }
-  if (increments_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      sample_size_) {
-    // Concurrent agers can double-halve; benign for an estimator.
-    increments_.store(0, std::memory_order_relaxed);
-    age();
-  }
-}
-
-std::uint32_t FrequencySketch::estimate(std::size_t hash) const noexcept {
-  std::uint32_t best = kMaxCount;
-  for (std::size_t row = 0; row < kDepth; ++row) {
-    const std::size_t idx = row * width_ + index(hash, row);
-    const std::uint8_t v = table_[idx / 2].load(std::memory_order_relaxed);
-    const std::uint8_t shift = (idx & 1) ? 4 : 0;
-    best = std::min<std::uint32_t>(best, (v >> shift) & 0x0f);
-  }
-  return best;
-}
-
-void FrequencySketch::age() noexcept {
-  // Halve both packed nibbles of every byte at once: shift, then mask off
-  // the bit each high nibble leaked into its low neighbour.
-  for (std::size_t i = 0; i < kDepth * width_ / 2; ++i) {
-    const std::uint8_t v = table_[i].load(std::memory_order_relaxed);
-    table_[i].store(static_cast<std::uint8_t>((v >> 1) & 0x77),
-                    std::memory_order_relaxed);
-  }
-}
-
-LowerCoverCache::LowerCoverCache(Config config) : config_(config) {
-  if (config_.policy != CacheEvictionPolicy::kUnbounded)
-    FFSM_EXPECTS(config_.capacity >= 1);
-  if (config_.policy == CacheEvictionPolicy::kLfuAdmit)
-    sketch_ = std::make_unique<FrequencySketch>(config_.capacity);
+LowerCoverCache::LowerCoverCache(std::size_t capacity) : capacity_(capacity) {
+  FFSM_EXPECTS(capacity_ >= 1);
 }
 
 std::size_t LowerCoverCache::entry_bytes(const Partition& key,
@@ -107,23 +26,14 @@ std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::find(
     const Partition& p) const {
   {
     const std::shared_lock lock(mutex_);
-    // Every lookup (hit or miss) feeds the admission sketch: frequency has
-    // to accumulate while a key is still being rejected, or a hot-but-not-
-    // yet-resident key could never earn its way in.
-    if (sketch_) sketch_->increment(p.hash());
     const auto it = map_.find(p);
     if (it != map_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      // Recency bump, kLru/kLfuAdmit only: kEpoch/kUnbounded never read
-      // last_used, and skipping the shared clock_ RMW keeps their hit path
-      // free of cross-thread cache-line traffic. A relaxed store suffices —
-      // eviction order only affects which entry gets recomputed later,
-      // never results.
-      if (config_.policy == CacheEvictionPolicy::kLru ||
-          config_.policy == CacheEvictionPolicy::kLfuAdmit)
-        it->second->last_used.store(
-            clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
+      // Recency bump. A relaxed store suffices — eviction order only
+      // affects which entry gets recomputed later, never results.
+      it->second->last_used.store(
+          clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+          std::memory_order_relaxed);
       return it->second->cover;
     }
     // Classify the miss while still holding the lock: a key evicted
@@ -141,8 +51,7 @@ void LowerCoverCache::record_eviction_locked(const Partition& key) {
   // itself bounded: past ~16x capacity it resets, after which re-misses
   // on long-gone keys count as cold again (the counters are documented
   // approximate; the cache's memory bound is the hard guarantee).
-  if (evicted_hashes_.size() >=
-      std::max<std::size_t>(4096, 16 * config_.capacity))
+  if (evicted_hashes_.size() >= std::max<std::size_t>(4096, 16 * capacity_))
     evicted_hashes_.clear();
   evicted_hashes_.insert(key.hash());
 }
@@ -172,32 +81,6 @@ void LowerCoverCache::evict_locked(Map::iterator victim) {
   map_.erase(victim);
 }
 
-void LowerCoverCache::make_room_locked() {
-  switch (config_.policy) {
-    case CacheEvictionPolicy::kUnbounded:
-      return;
-    case CacheEvictionPolicy::kLru:
-    case CacheEvictionPolicy::kLfuAdmit:
-      // kLfuAdmit normally decides admission in insert() before reaching
-      // here; this path still evicts LRU-style for import() replays and
-      // any admitted insert.
-      while (map_.size() >= config_.capacity)
-        evict_locked(lru_victim_locked());
-      return;
-    case CacheEvictionPolicy::kEpoch:
-      if (map_.size() >= config_.capacity) {
-        for (const auto& [key, entry] : map_) {
-          record_eviction_locked(key);
-          bytes_.fetch_sub(entry->bytes, std::memory_order_relaxed);
-        }
-        evictions_.fetch_add(map_.size(), std::memory_order_relaxed);
-        epochs_.fetch_add(1, std::memory_order_relaxed);
-        map_.clear();
-      }
-      return;
-  }
-}
-
 std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::insert(
     const Partition& p, std::shared_ptr<const Cover> cover) {
   const std::unique_lock lock(mutex_);
@@ -206,33 +89,13 @@ std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::insert(
   // deterministic). A resident key never triggers eviction.
   const auto it = map_.find(p);
   if (it != map_.end()) return it->second->cover;
-
-  // TinyLFU admission: at capacity, the candidate must be strictly
-  // hotter (by sketch estimate) than the LRU victim it would displace;
-  // otherwise the insert is rejected and the caller keeps its computed
-  // cover — the hot set stays resident through a scan flood. Ties reject
-  // (classic TinyLFU): once estimates saturate, admitting ties would
-  // resume exactly the churn the gate exists to stop; periodic aging is
-  // what lets a genuinely hotter newcomer eventually win. Rejection never
-  // affects results, only what gets recomputed later.
-  if (config_.policy == CacheEvictionPolicy::kLfuAdmit &&
-      map_.size() >= config_.capacity) {
-    const auto victim = lru_victim_locked();
-    if (sketch_->estimate(p.hash()) <=
-        sketch_->estimate(victim->first.hash())) {
-      admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return cover;
-    }
-    evict_locked(victim);
-  }
-
   emplace_locked(p, std::move(cover));
   return map_.find(p)->second->cover;
 }
 
 void LowerCoverCache::emplace_locked(const Partition& key,
                                      std::shared_ptr<const Cover> cover) {
-  make_room_locked();
+  while (map_.size() >= capacity_) evict_locked(lru_victim_locked());
   auto entry = std::make_shared<Entry>();
   entry->cover = std::move(cover);
   entry->bytes = entry_bytes(key, *entry->cover);
@@ -245,13 +108,6 @@ void LowerCoverCache::emplace_locked(const Partition& key,
 std::size_t LowerCoverCache::size() const {
   const std::shared_lock lock(mutex_);
   return map_.size();
-}
-
-void LowerCoverCache::clear() {
-  const std::unique_lock lock(mutex_);
-  map_.clear();
-  evicted_hashes_.clear();
-  bytes_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<WarmCacheEntry> LowerCoverCache::export_hot(std::size_t n) const {

@@ -42,8 +42,8 @@
 // requests sharing one top machine. LowerCoverCache provides that shared,
 // thread-safe memo; every descent restarts from the identity partition, so
 // the cache turns the shared prefix of all descents into O(1) lookups.
-// Long-lived services bound the memo's footprint with an eviction policy
-// (CacheEvictionPolicy): an evicted cover is simply recomputed on the next
+// The memo holds at most `capacity` covers and evicts the least recently
+// used one to make room: an evicted cover is simply recomputed on the next
 // miss, so results never depend on capacity.
 #pragma once
 
@@ -62,39 +62,6 @@
 
 namespace ffsm {
 
-/// How a bounded LowerCoverCache makes room (see LowerCoverCacheConfig).
-enum class CacheEvictionPolicy : std::uint8_t {
-  /// Evict the least-recently-used entry once `capacity` entries are
-  /// resident. Per-hit cost: one relaxed atomic store under the shared
-  /// lock; eviction scans the (bounded) table for the oldest entry.
-  kLru,
-  /// Epoch-based bulk eviction: when the table reaches `capacity` the
-  /// epoch ends and every entry is dropped at once. No per-hit
-  /// bookkeeping at all — the cheapest policy for read-heavy services
-  /// whose working set periodically shifts wholesale.
-  kEpoch,
-  /// Never evict — the pre-eviction legacy behaviour. Memory grows with
-  /// the number of distinct partitions ever descended through; only
-  /// sensible for short-lived, single-workload caches (kept default-off).
-  kUnbounded,
-  /// LRU eviction behind a TinyLFU admission filter: a 4-bit count-min
-  /// frequency sketch (FrequencySketch) tracks how often each key was
-  /// looked up recently, and an insert at capacity is *rejected* when the
-  /// candidate's estimated frequency is below the LRU victim's — a one-off
-  /// scan key can no longer evict a hot descent-prefix key. Rejection
-  /// never changes results (the caller keeps its freshly computed cover;
-  /// the next miss recomputes), it only decides what stays resident.
-  kLfuAdmit,
-};
-
-struct LowerCoverCacheConfig {
-  CacheEvictionPolicy policy = CacheEvictionPolicy::kLru;
-  /// Maximum resident entries for kLru/kEpoch/kLfuAdmit (must be >= 1);
-  /// ignored by kUnbounded. The cache never holds more than `capacity`
-  /// entries.
-  std::size_t capacity = 1024;
-};
-
 /// One exported hot cache entry — the partition descended from plus its
 /// lower cover. The unit of the warm cache handoff: export_hot() hands a
 /// vector of these to the backend, which ships them in a kCacheWarm frame
@@ -104,91 +71,49 @@ struct WarmCacheEntry {
   std::vector<Partition> cover;
 };
 
-/// TinyLFU-style frequency sketch: a depth-4 count-min sketch of 4-bit
-/// saturating counters (two per byte) with periodic halving ("aging") once
-/// a sample-size worth of increments has accumulated, so estimates track
-/// *recent* popularity rather than all of history. Counters are atomic
-/// bytes updated with relaxed plain stores — concurrent increments may
-/// lose updates, which only makes the (already approximate) estimate
-/// conservative; there are no data races.
-class FrequencySketch {
- public:
-  /// Sized for `capacity` resident entries: width is the smallest power of
-  /// two >= max(64, 8 * capacity) counters per row.
-  explicit FrequencySketch(std::size_t capacity);
-
-  /// Records one lookup of `hash` and ages the sketch when the sample
-  /// period elapses.
-  void increment(std::size_t hash) noexcept;
-
-  /// Estimated recent lookup count for `hash` (min over rows, <= 15).
-  [[nodiscard]] std::uint32_t estimate(std::size_t hash) const noexcept;
-
-  /// Bytes held by the counter table.
-  [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return kDepth * width_ / 2;
-  }
-
- private:
-  static constexpr std::size_t kDepth = 4;
-  static constexpr std::uint32_t kMaxCount = 15;
-
-  /// Counter index of `hash` in `row`.
-  [[nodiscard]] std::size_t index(std::size_t hash,
-                                  std::size_t row) const noexcept;
-  /// Halves every counter in place: the aging step.
-  void age() noexcept;
-
-  std::size_t width_;  // counters per row; power of two
-  std::size_t sample_size_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> table_;
-  std::atomic<std::uint64_t> increments_{0};
-};
-
 /// Thread-safe, size-bounded memo of lower covers keyed by the partition
 /// descended from. One cache instance must only ever be used with a single
 /// machine (the cache does not key on it); generate_fusion_batch enforces
 /// this by construction.
 ///
-/// Values are handed out as shared_ptr, so eviction can never invalidate a
-/// cover a descent is still walking — the entry just leaves the table and
-/// the next lookup recomputes it. Counters distinguish that case:
-/// a miss on a key that was previously evicted counts as an
+/// The cache holds at most capacity() entries. An insert at capacity
+/// evicts the least recently used entry (a hit or an insert counts as a
+/// use). Values are handed out as shared_ptr, so eviction can never
+/// invalidate a cover a descent is still walking — the entry just leaves
+/// the table and the next lookup recomputes it. Counters distinguish that
+/// case: a miss on a key that was previously evicted counts as an
 /// *eviction miss*, keeping cold-miss stats meaningful under eviction.
 class LowerCoverCache {
  public:
   using Cover = std::vector<Partition>;
-  using Config = LowerCoverCacheConfig;
 
-  LowerCoverCache() : LowerCoverCache(Config{}) {}
-  explicit LowerCoverCache(Config config);
+  static constexpr std::size_t kDefaultCapacity = 1024;
 
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
+  /// `capacity` is the most entries ever resident; it must be >= 1.
+  explicit LowerCoverCache(std::size_t capacity = kDefaultCapacity);
 
-  /// Cached cover for `p`, or nullptr on miss.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
+  /// Cached cover for `p`, or nullptr on miss. A hit marks `p` as the
+  /// most recently used entry.
   [[nodiscard]] std::shared_ptr<const Cover> find(const Partition& p) const;
 
   /// Inserts (first writer wins) and returns the cached value, evicting
-  /// per the configured policy first when the table is at capacity.
+  /// the least recently used entry first when the table is at capacity.
   std::shared_ptr<const Cover> insert(const Partition& p,
                                       std::shared_ptr<const Cover> cover);
 
   [[nodiscard]] std::size_t size() const;
 
-  /// Drops every entry and the evicted-key memory; lifetime counters are
-  /// preserved and the drop is not counted as eviction.
-  void clear();
-
   /// Snapshot of the (up to) `n` hottest resident entries, most recently
   /// used first — the payload of a warm cache handoff. Covers are copied
-  /// out, so the snapshot stays valid after eviction or clear().
+  /// out, so the snapshot stays valid after eviction.
   [[nodiscard]] std::vector<WarmCacheEntry> export_hot(std::size_t n) const;
 
   /// Replays an export_hot() snapshot into this cache (typically a fresh
-  /// one on a respawned worker or a failover target). Bypasses admission —
-  /// the exporter already judged these entries hot — but still respects
-  /// the capacity bound, and preserves the exporter's recency order.
-  /// Resident keys are left untouched (first writer wins, as in insert()).
+  /// one on a respawned worker or a failover target). Respects the
+  /// capacity bound and preserves the exporter's recency order. Resident
+  /// keys are left untouched (first writer wins, as in insert()).
   void import(const std::vector<WarmCacheEntry>& entries);
 
   // Lifetime counters (monotonic, approximate under contention).
@@ -210,34 +135,20 @@ class LowerCoverCache {
   [[nodiscard]] std::uint64_t eviction_misses() const noexcept {
     return eviction_misses_.load(std::memory_order_relaxed);
   }
-  /// Entries evicted so far (never counts clear()).
+  /// Entries evicted so far.
   [[nodiscard]] std::uint64_t evictions() const noexcept {
     return evictions_.load(std::memory_order_relaxed);
-  }
-  /// Epochs completed so far (kEpoch only; 0 otherwise).
-  [[nodiscard]] std::uint64_t epochs() const noexcept {
-    return epochs_.load(std::memory_order_relaxed);
   }
   /// Approximate bytes held by resident keys + covers (payload estimate,
   /// excluding hash-table overhead).
   [[nodiscard]] std::size_t approx_bytes() const noexcept {
     return bytes_.load(std::memory_order_relaxed);
   }
-  /// Inserts rejected by the TinyLFU admission filter (kLfuAdmit only;
-  /// 0 otherwise). Each reject kept a hotter victim resident at the price
-  /// of recomputing the rejected key on its next miss.
-  [[nodiscard]] std::uint64_t admission_rejects() const noexcept {
-    return admission_rejects_.load(std::memory_order_relaxed);
-  }
-  /// Bytes held by the admission frequency sketch (kLfuAdmit only).
-  [[nodiscard]] std::size_t sketch_bytes() const noexcept {
-    return sketch_ ? sketch_->table_bytes() : 0;
-  }
 
  private:
   struct Entry {
     std::shared_ptr<const Cover> cover;
-    /// Logical access clock value of the last find() hit (kLru/kLfuAdmit).
+    /// Logical access clock value of the last use (insert or find() hit).
     std::atomic<std::uint64_t> last_used{0};
     std::size_t bytes = 0;
   };
@@ -247,11 +158,8 @@ class LowerCoverCache {
   /// Payload estimate for one (key, cover) pair.
   static std::size_t entry_bytes(const Partition& key, const Cover& cover);
 
-  /// Evicts per policy until an insert fits; requires unique lock held.
-  void make_room_locked();
-
-  /// The map_ iterator of the LRU entry (kLru/kLfuAdmit eviction victim);
-  /// requires lock held and map_ non-empty.
+  /// The map_ iterator of the least recently used entry; requires lock
+  /// held and map_ non-empty.
   [[nodiscard]] Map::iterator lru_victim_locked();
 
   /// Evicts the entry at `victim`; requires unique lock held.
@@ -262,7 +170,7 @@ class LowerCoverCache {
   void emplace_locked(const Partition& key,
                       std::shared_ptr<const Cover> cover);
 
-  Config config_;
+  std::size_t capacity_;
   mutable std::shared_mutex mutex_;
   // shared_ptr<Entry> values: stable addresses across rehash, so find()
   // can bump last_used outside any per-entry lock.
@@ -282,11 +190,7 @@ class LowerCoverCache {
   mutable std::atomic<std::uint64_t> cold_misses_{0};
   mutable std::atomic<std::uint64_t> eviction_misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::uint64_t> admission_rejects_{0};
-  /// Admission frequency sketch; allocated only under kLfuAdmit.
-  std::unique_ptr<FrequencySketch> sketch_;
 };
 
 struct LowerCoverOptions {

@@ -30,7 +30,7 @@ FusionCluster::FusionCluster(FusionClusterOptions options)
       FusionServiceOptions service_options;
       service_options.parallel = options_.parallel;
       service_options.pool = options_.pool;
-      service_options.cache_config = options_.cache_config;
+      service_options.cache_capacity = options_.cache_capacity;
       // In-process shards record straight into the cluster's own context
       // (which is why ShardBackend::obs_snapshot's empty default is right
       // for them — nothing to merge twice).
@@ -435,8 +435,6 @@ FusionCluster::Stats FusionCluster::stats() const {
     out.cache_evictions += totals.cache_evictions;
     out.cache_entries += totals.cache_entries;
     out.cache_bytes += totals.cache_bytes;
-    out.cache_admission_rejects += totals.cache_admission_rejects;
-    out.cache_sketch_bytes += totals.cache_sketch_bytes;
   }
   return out;
 }

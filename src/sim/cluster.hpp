@@ -55,9 +55,9 @@ struct FusionClusterOptions {
   /// composes via ThreadPool re-entrancy).
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Bound + eviction policy for every top's persistent closure cache;
-  /// total resident cache memory is O(tops * capacity) entries.
-  LowerCoverCacheConfig cache_config = {};
+  /// Capacity of every top's persistent closure cache; total resident
+  /// cache memory is O(tops * capacity) entries.
+  std::size_t cache_capacity = LowerCoverCache::kDefaultCapacity;
   /// Observability context shared by the cluster and its default
   /// in-process backends. nullptr (the default) makes the cluster
   /// construct and own a private *enabled* Obs, so drain spans and
@@ -140,10 +140,6 @@ class FusionCluster {
     std::uint64_t cache_evictions = 0;
     std::size_t cache_entries = 0;
     std::size_t cache_bytes = 0;
-    /// Inserts rejected by the kLfuAdmit frequency gate, and the resident
-    /// footprint of the admission sketches; 0 under every other policy.
-    std::uint64_t cache_admission_rejects = 0;
-    std::size_t cache_sketch_bytes = 0;
   };
 
   explicit FusionCluster(FusionClusterOptions options = {});

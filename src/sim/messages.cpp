@@ -96,8 +96,8 @@ std::size_t WireArena::capacity() const noexcept {
 // count x u32 block ids):
 //
 //   kError       str detail
-//   kConfig      u8 parallel, u64 threads, u8 cache_policy,
-//                u64 cache_capacity
+//   kConfig      u8 parallel, u64 threads (at most kMaxWireThreads, 256),
+//                u64 cache_capacity (at least 1)
 //   kTop         str key, str machine_text
 //   kServe       str key, u64 count, u64 parent (parent-side span id the
 //                worker parents its spans under; 0 = unlinked),
@@ -186,33 +186,15 @@ DescentPolicy policy_from_wire(std::uint8_t v) {
   }
 }
 
-std::uint8_t cache_policy_wire(CacheEvictionPolicy policy) {
-  switch (policy) {
-    case CacheEvictionPolicy::kLru:
-      return 0;
-    case CacheEvictionPolicy::kEpoch:
-      return 1;
-    case CacheEvictionPolicy::kUnbounded:
-      return 2;
-    case CacheEvictionPolicy::kLfuAdmit:
-      return 3;
-  }
-  bad("unknown CacheEvictionPolicy");
-}
-
-CacheEvictionPolicy cache_policy_from_wire(std::uint8_t v) {
-  switch (v) {
-    case 0:
-      return CacheEvictionPolicy::kLru;
-    case 1:
-      return CacheEvictionPolicy::kEpoch;
-    case 2:
-      return CacheEvictionPolicy::kUnbounded;
-    case 3:
-      return CacheEvictionPolicy::kLfuAdmit;
-    default:
-      bad("unknown cache policy byte");
-  }
+/// A peer's thread count becomes OS threads in the worker's pool, and a
+/// capacity of 0 breaks the cache's precondition at the next top. Both
+/// codec directions refuse them: the worker before it builds anything
+/// from a hostile frame, a misconfigured parent before it sends one.
+void check_config(const ShardServiceConfig& config) {
+  if (config.threads > kMaxWireThreads)
+    bad("config asks for more than " + std::to_string(kMaxWireThreads) +
+        " threads");
+  if (config.cache_capacity == 0) bad("config cache capacity 0");
 }
 
 /// Bounds-checked little-endian cursor over one binary payload.
@@ -290,10 +272,10 @@ void encode_binary_payload(const Frame& frame, std::string& out) {
       put_str(out, frame.text);
       return;
     case FrameType::kConfig:
+      check_config(frame.config);
       put_u8(out, frame.config.parallel ? 1 : 0);
       put_u64(out, frame.config.threads);
-      put_u8(out, cache_policy_wire(frame.config.cache_config.policy));
-      put_u64(out, frame.config.cache_config.capacity);
+      put_u64(out, frame.config.cache_capacity);
       return;
     case FrameType::kTop:
       put_str(out, frame.key);
@@ -413,8 +395,8 @@ Frame decode_binary_payload(FrameType type, BinReader& in) {
     case FrameType::kConfig:
       frame.config.parallel = in.boolean();
       frame.config.threads = in.u64();
-      frame.config.cache_config.policy = cache_policy_from_wire(in.u8());
-      frame.config.cache_config.capacity = in.u64();
+      frame.config.cache_capacity = in.u64();
+      check_config(frame.config);
       break;
     case FrameType::kTop:
       frame.key = in.str();
@@ -680,7 +662,9 @@ namespace {
 //   7 — the speculation counters left the stats and response frames, and
 //       speculation_lookahead and incremental left the config frame (text
 //       directives and binary payload bytes).
-constexpr std::string_view kHelloVersion = "7";
+//   8 — the cache policy byte left the config frame (the closure cache is
+//       always LRU), and the admission counters left the stats frame.
+constexpr std::string_view kHelloVersion = "8";
 
 }  // namespace
 

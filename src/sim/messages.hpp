@@ -61,9 +61,7 @@ struct FusionResponse {
   X(cache_eviction_misses, kPerTop)             \
   X(cache_evictions, kPerTop)                   \
   X(cache_entries, kPerTop)                     \
-  X(cache_bytes, kPerTop)                       \
-  X(cache_admission_rejects, kPerTop)           \
-  X(cache_sketch_bytes, kPerTop)
+  X(cache_bytes, kPerTop)
 
 /// The second X-macro column as a real type, so aggregation code can
 /// branch on it with `if constexpr (StatsAgg::agg == ...)` instead of
@@ -110,23 +108,25 @@ struct ServiceStats {
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-  /// Inserts rejected by the TinyLFU admission filter (kLfuAdmit only).
-  std::uint64_t cache_admission_rejects = 0;
-  /// Bytes held by the admission frequency sketch (kLfuAdmit only).
-  std::size_t cache_sketch_bytes = 0;
 };
 
 /// The FusionServiceOptions subset that can cross a process boundary
-/// (ThreadPool pointers cannot): cache bound and the worker-side
+/// (ThreadPool pointers cannot): cache capacity and the worker-side
 /// parallelism switch.
 struct ShardServiceConfig {
   /// Fan the worker's batches across its own pool.
   bool parallel = true;
-  /// Worker pool size; 0 = hardware concurrency.
+  /// Worker pool size; 0 = hardware concurrency. The codec refuses more
+  /// than kMaxWireThreads.
   std::size_t threads = 0;
-  /// Bound + eviction policy for each worker service's closure cache.
-  LowerCoverCacheConfig cache_config = {};
+  /// Capacity of each worker service's closure cache (>= 1).
+  std::size_t cache_capacity = LowerCoverCache::kDefaultCapacity;
 };
+
+/// Largest worker pool size a kConfig frame may ask for: well above any
+/// host's core count, and far below a thread count that could exhaust the
+/// worker's process table.
+inline constexpr std::uint64_t kMaxWireThreads = 256;
 
 /// A FusionRequest in its wire envelope: the backend ticket identifying
 /// the eventual response, plus the submitting client.
@@ -306,7 +306,7 @@ class WireCodec {
 // the parent sends `hello <version> bin`, the worker answers `hello
 // <version> bin`, and both switch to binary frames. The version is a
 // single integer both sides must match exactly; it is bumped whenever a
-// payload changes shape (current: 7 — see kHelloVersion in messages.cpp
+// payload changes shape (current: 8 — see kHelloVersion in messages.cpp
 // for the history). A worker that cannot accept the opening line — another
 // version, no `bin` among the offers, or no hello at all — answers
 // `error <detail>` and closes, and the parent fails the connection with a

@@ -35,7 +35,7 @@ void Server::restore(State correct_state) {
 FusionService::FusionService(Dfsm top, FusionServiceOptions options)
     : top_(std::move(top)),
       options_(options),
-      cache_(options.cache_config) {}
+      cache_(options.cache_capacity) {}
 
 void FusionService::validate(const FusionRequest& request) const {
   for (const Partition& p : request.originals)
@@ -125,8 +125,6 @@ FusionService::Stats FusionService::stats() const {
   out.cache_evictions = cache_.evictions();
   out.cache_entries = cache_.size();
   out.cache_bytes = cache_.approx_bytes();
-  out.cache_admission_rejects = cache_.admission_rejects();
-  out.cache_sketch_bytes = cache_.sketch_bytes();
   return out;
 }
 

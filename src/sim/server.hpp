@@ -86,13 +86,11 @@ struct FusionServiceOptions {
   /// Fan queued requests across the pool when serving a batch.
   bool parallel = true;
   ThreadPool* pool = nullptr;
-  /// Bound + eviction policy for the persistent cross-batch closure cache.
-  /// Bounding the cache never changes served results — an evicted cover is
+  /// Capacity of the persistent cross-batch closure cache (an LRU; must be
+  /// >= 1). Capacity never changes served results — an evicted cover is
   /// recomputed on the next miss — it only caps the service's resident
-  /// memory (LowerCoverCacheConfig defaults to LRU with a 1024-entry cap;
-  /// CacheEvictionPolicy::kUnbounded restores the legacy grow-forever
-  /// behaviour).
-  LowerCoverCacheConfig cache_config = {};
+  /// memory.
+  std::size_t cache_capacity = LowerCoverCache::kDefaultCapacity;
   /// Optional observability context (nullptr = uninstrumented), forwarded
   /// into every served batch (gen.request spans, lower-cover/cache
   /// metrics); the service itself adds `cache.warm_replay` (time to replay

@@ -162,49 +162,43 @@ TEST(FusionEngine, SharedCacheDoesNotChangeResults) {
 
 TEST(FusionEngine, BoundedCacheBitIdenticalAcrossCapacitiesAndThreads) {
   // A tiny bounded cache (1-4 entries) forces heavy eviction during the
-  // descents; outputs must stay bit-identical to the unbounded run and the
-  // oracle at any thread count and under every descent policy — eviction
-  // only ever costs recomputation.
+  // descents; outputs must stay bit-identical to the memo-free oracle at
+  // any capacity and thread count and under every descent policy —
+  // eviction only ever costs recomputation.
   const CrossProduct cp = counter_pair_product();
   const auto originals = component_partitions(cp);
 
   for (const DescentPolicy policy :
        {DescentPolicy::kFirstFound, DescentPolicy::kFewestBlocks,
         DescentPolicy::kMostBlocks}) {
-    GenerateOptions unbounded;
-    unbounded.f = 2;
-    unbounded.policy = policy;
-    unbounded.parallel = false;
-    unbounded.cache_config = {CacheEvictionPolicy::kUnbounded, 0};
+    GenerateOptions options;
+    options.f = 2;
+    options.policy = policy;
     const FusionResult baseline =
-        oracle_generate_fusion(cp.top, originals, unbounded);
+        oracle_generate_fusion(cp.top, originals, options);
     ASSERT_FALSE(baseline.partitions.empty());
-    EXPECT_EQ(generate_fusion(cp.top, originals, unbounded).partitions,
-              baseline.partitions);
 
-    for (const CacheEvictionPolicy eviction :
-         {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch}) {
-      for (const std::size_t capacity : {1u, 2u, 4u}) {
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-          ThreadPool pool(threads);
-          GenerateOptions bounded = unbounded;
-          bounded.parallel = true;
-          bounded.pool = &pool;
-          bounded.cache_config = {eviction, capacity};
-          const FusionResult result =
-              generate_fusion(cp.top, originals, bounded);
-          EXPECT_EQ(result.partitions, baseline.partitions)
-              << "capacity=" << capacity << " threads=" << threads;
-          EXPECT_EQ(result.stats.machines_added,
-                    baseline.stats.machines_added);
-          EXPECT_EQ(result.stats.dmin_after, baseline.stats.dmin_after);
-        }
+    for (const std::size_t capacity :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4},
+          LowerCoverCache::kDefaultCapacity}) {
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        ThreadPool pool(threads);
+        LowerCoverCache cache(capacity);
+        GenerateOptions bounded = options;
+        bounded.pool = &pool;
+        bounded.cache = &cache;
+        const FusionResult result = generate_fusion(cp.top, originals, bounded);
+        EXPECT_EQ(result.partitions, baseline.partitions)
+            << "capacity=" << capacity << " threads=" << threads;
+        EXPECT_EQ(result.stats.machines_added, baseline.stats.machines_added);
+        EXPECT_EQ(result.stats.dmin_after, baseline.stats.dmin_after);
+        EXPECT_LE(cache.size(), capacity);
       }
     }
   }
 }
 
-TEST(FusionEngine, BoundedCacheBatchMatchesUnbounded) {
+TEST(FusionEngine, BoundedCacheBatchMatchesOracle) {
   const CrossProduct cp = counter_pair_product();
   const auto originals = component_partitions(cp);
 
@@ -223,28 +217,22 @@ TEST(FusionEngine, BoundedCacheBatchMatchesUnbounded) {
     single.policy = r.policy;
     baseline.push_back(oracle_generate_fusion(cp.top, r.originals, single));
   }
-  BatchOptions unbounded;
-  unbounded.parallel = false;
-  unbounded.cache_config = {CacheEvictionPolicy::kUnbounded, 0};
-  const auto unbounded_results =
-      generate_fusion_batch(cp.top, requests, unbounded);
-  ASSERT_EQ(unbounded_results.size(), baseline.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i)
-    EXPECT_EQ(unbounded_results[i].partitions, baseline[i].partitions)
-        << "request " << i;
 
-  for (const CacheEvictionPolicy eviction :
-       {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch}) {
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4},
+        LowerCoverCache::kDefaultCapacity}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
+      LowerCoverCache cache(capacity);
       BatchOptions bounded;
       bounded.pool = &pool;
-      bounded.cache_config = {eviction, 2};  // far below the working set
+      bounded.cache = &cache;
       const auto results = generate_fusion_batch(cp.top, requests, bounded);
       ASSERT_EQ(results.size(), baseline.size());
       for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i].partitions, baseline[i].partitions)
-            << "request " << i << " threads " << threads;
+            << "request " << i << " capacity " << capacity << " threads "
+            << threads;
     }
   }
 }

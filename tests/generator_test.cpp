@@ -210,11 +210,11 @@ void expect_engine_matches_oracle(
       SCOPED_TRACE(::testing::Message() << "threads " << thread_count);
       SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
       ThreadPool pool(thread_count);
+      LowerCoverCache cache(capacity);
       GenerateOptions parallel = serial;
       parallel.parallel = true;
       parallel.pool = &pool;
-      parallel.cache_config.policy = CacheEvictionPolicy::kLru;
-      parallel.cache_config.capacity = capacity;
+      parallel.cache = &cache;
       expect_same(generate_fusion(cp.top, originals, parallel));
     }
   }
@@ -333,7 +333,7 @@ TEST(Generator, WorkCountsOnTheRecoverTop) {
 TEST(Generator, WarmRerunOnASharedCacheEvaluatesNoClosures) {
   const CrossProduct cp = testing::counter_pair_product();
   const std::vector<Partition> originals = testing::component_partitions(cp);
-  LowerCoverCache cache({CacheEvictionPolicy::kUnbounded, 1});
+  LowerCoverCache cache;
   ThreadPool pool(8);
   GenerateOptions options;
   options.f = 2;
@@ -348,6 +348,7 @@ TEST(Generator, WarmRerunOnASharedCacheEvaluatesNoClosures) {
   EXPECT_EQ(warm.stats.cover_cache_hits,
             static_cast<std::uint64_t>(warm.stats.descent_steps) +
                 warm.stats.machines_added);
+  EXPECT_EQ(cache.evictions(), 0u);
 }
 
 TEST(Generator, ParallelBatchMatchesPerRequestSerialGeneration) {

@@ -219,7 +219,7 @@ TEST(FusionCluster, HealthyTopsKeepServingWhileOneFails) {
 TEST(FusionCluster, AggregatesShardStatsIncludingCacheCounters) {
   const ClusterFixture fx;
   FusionClusterOptions options;
-  options.cache_config = {CacheEvictionPolicy::kLru, 4};
+  options.cache_capacity = 4;
   const auto cluster_ptr = fx.make_cluster(options);
   FusionCluster& cluster = *cluster_ptr;
 
@@ -252,11 +252,26 @@ TEST(FusionCluster, AggregatesShardStatsIncludingCacheCounters) {
   EXPECT_LE(large_stats.cache_entries, 4u);
 }
 
-TEST(FusionCluster, BoundedClusterMatchesUnboundedResults) {
+TEST(FusionCluster, BoundedClusterMatchesOracle) {
   const ClusterFixture fx;
-  const auto run = [&](LowerCoverCacheConfig config) {
+  // Responses come back in submission order: s1, l1, s2, l2, s3, l3.
+  std::vector<std::vector<Partition>> expected;
+  for (const std::uint32_t f : {1u, 2u, 3u}) {
+    GenerateOptions single;
+    single.f = f;
+    expected.push_back(
+        oracle_generate_fusion(fx.small.top, fx.small_originals, single)
+            .partitions);
+    expected.push_back(
+        oracle_generate_fusion(fx.large.top, fx.large_originals, single)
+            .partitions);
+  }
+
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4},
+        LowerCoverCache::kDefaultCapacity}) {
     FusionClusterOptions options;
-    options.cache_config = config;
+    options.cache_capacity = capacity;
     const auto cluster_ptr = fx.make_cluster(options);
     FusionCluster& cluster = *cluster_ptr;
     for (const std::uint32_t f : {1u, 2u, 3u}) {
@@ -265,17 +280,11 @@ TEST(FusionCluster, BoundedClusterMatchesUnboundedResults) {
       cluster.submit("large", std::string("l").append(std::to_string(f)),
                      {fx.large_originals, f});
     }
-    return cluster.drain();
-  };
-
-  const auto unbounded = run({CacheEvictionPolicy::kUnbounded, 0});
-  for (const CacheEvictionPolicy policy :
-       {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch}) {
-    const auto bounded = run({policy, 2});
-    ASSERT_EQ(bounded.responses.size(), unbounded.responses.size());
-    for (std::size_t i = 0; i < bounded.responses.size(); ++i)
-      EXPECT_EQ(bounded.responses[i].result.partitions,
-                unbounded.responses[i].result.partitions);
+    const auto report = cluster.drain();
+    ASSERT_EQ(report.responses.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      EXPECT_EQ(report.responses[i].result.partitions, expected[i])
+          << "capacity " << capacity << " response " << i;
   }
 }
 

@@ -76,9 +76,7 @@ void expect_same_frame(const Frame& back, const Frame& sent) {
 #undef FFSM_EXPECT_STAT
   EXPECT_EQ(back.config.parallel, sent.config.parallel);
   EXPECT_EQ(back.config.threads, sent.config.threads);
-  EXPECT_EQ(back.config.cache_config.policy, sent.config.cache_config.policy);
-  EXPECT_EQ(back.config.cache_config.capacity,
-            sent.config.cache_config.capacity);
+  EXPECT_EQ(back.config.cache_capacity, sent.config.cache_capacity);
   ASSERT_EQ(back.entries.size(), sent.entries.size());
   for (std::size_t i = 0; i < sent.entries.size(); ++i) {
     EXPECT_EQ(back.entries[i].key, sent.entries[i].key) << i;
@@ -182,15 +180,14 @@ TEST(WireStatsCodec, RandomStatsRoundTripByteIdentically) {
   }
 }
 
-TEST(WireConfigCodec, AllCachePoliciesRoundTripByteIdentically) {
-  for (const CacheEvictionPolicy policy :
-       {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch,
-        CacheEvictionPolicy::kUnbounded, CacheEvictionPolicy::kLfuAdmit})
+TEST(WireConfigCodec, ConfigsRoundTripByteIdentically) {
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{17}, LowerCoverCache::kDefaultCapacity})
     for (const bool parallel : {false, true}) {
       Frame frame(FrameType::kConfig);
       frame.config.parallel = parallel;
-      frame.config.threads = parallel ? 4 : 0;
-      frame.config.cache_config = {policy, 17};
+      frame.config.threads = parallel ? kMaxWireThreads : 0;
+      frame.config.cache_capacity = capacity;
       expect_round_trip(frame);
     }
 }
@@ -213,7 +210,7 @@ std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
   {
     Frame& config = add(FrameType::kConfig);
     config.config.threads = 8;
-    config.config.cache_config = {CacheEvictionPolicy::kEpoch, 9};
+    config.config.cache_capacity = 9;
   }
   {
     Frame& top = add(FrameType::kTop);
@@ -254,8 +251,6 @@ std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
     stats.stats.failovers = 2;
     stats.stats.health_probes_failed = 3;
     stats.stats.cache_bytes = 4096;
-    stats.stats.cache_admission_rejects = 11;
-    stats.stats.cache_sketch_bytes = 128;
   }
   {
     // The warm handoff frame empty (a cache with nothing resident) and
@@ -543,10 +538,11 @@ TEST(WireObsCodec, MalformedBinaryPayloadsThrow) {
   expect_rejected(one_histogram(twice), "malformed histogram bucket");
 }
 
-/// A config frame: parallel byte, 4 threads, cache policy byte, capacity.
-std::string config_frame(std::uint8_t parallel, std::uint8_t policy) {
+/// A config frame: parallel byte, thread count, cache capacity.
+std::string config_frame(std::uint8_t parallel, std::uint64_t threads = 4,
+                         std::uint64_t capacity = 17) {
   Payload payload;
-  payload.u8(parallel).u64(4).u8(policy).u64(17);
+  payload.u8(parallel).u64(threads).u64(capacity);
   return payload.frame(FrameType::kConfig);
 }
 
@@ -561,13 +557,36 @@ std::string request_frame(std::uint8_t policy) {
 // cast them into an enum value nothing handles.
 TEST(WireCodec, OutOfRangePolicyBytesThrow) {
   WireCodec codec;
-  EXPECT_EQ(codec.decode(config_frame(1, 3)).config.cache_config.policy,
-            CacheEvictionPolicy::kLfuAdmit);  // the control
-  expect_rejected(config_frame(1, 4), "unknown cache policy byte");
-  expect_rejected(config_frame(2, 0), "expected a 0/1 byte");
+  EXPECT_TRUE(codec.decode(config_frame(1)).config.parallel);  // the control
+  expect_rejected(config_frame(2), "expected a 0/1 byte");
   EXPECT_EQ(codec.decode(request_frame(2)).request.request.policy,
             DescentPolicy::kMostBlocks);  // the control
   expect_rejected(request_frame(3), "unknown descent policy byte");
+}
+
+// Any peer may send a config frame, and the worker starts a pool thread per
+// requested thread and builds its caches from it. A thread count past
+// kMaxWireThreads and a cache capacity of 0 are refused at decode, before
+// anything is built from them, and at encode. Only the codec runs here: no
+// pool.
+TEST(WireCodec, OutOfBoundsConfigValuesThrow) {
+  WireCodec codec;
+  const Frame at_bound = codec.decode(config_frame(1, kMaxWireThreads, 1));
+  EXPECT_EQ(at_bound.config.threads, kMaxWireThreads);  // the controls
+  EXPECT_EQ(at_bound.config.cache_capacity, 1u);
+  EXPECT_EQ(codec.decode(config_frame(0, 0)).config.threads, 0u);
+  const std::string too_many =
+      "more than " + std::to_string(kMaxWireThreads) + " threads";
+  expect_rejected(config_frame(1, kMaxWireThreads + 1), too_many);
+  expect_rejected(config_frame(1, ~std::uint64_t{0}), too_many);
+  expect_rejected(config_frame(1, 4, 0), "cache capacity 0");
+
+  Frame config(FrameType::kConfig);
+  config.config.threads = kMaxWireThreads + 1;
+  EXPECT_THROW((void)codec.encode(config), ContractViolation);
+  config.config.threads = 0;
+  config.config.cache_capacity = 0;
+  EXPECT_THROW((void)codec.encode(config), ContractViolation);
 }
 
 // The worker's trust boundary: a partition's tags arrive as any 32-bit

@@ -300,41 +300,53 @@ TEST(FusionService, StatsExposeCacheCounters) {
   EXPECT_GT(warm.cache_cold_misses, 0u);
   EXPECT_GT(warm.cache_entries, 0u);
   EXPECT_GT(warm.cache_bytes, 0u);
-  // Default config is bounded LRU with a cap far above this workload.
+  // The default capacity is far above this workload.
   EXPECT_EQ(warm.cache_evictions, 0u);
   EXPECT_EQ(warm.cache_eviction_misses, 0u);
-  EXPECT_LE(warm.cache_entries, service.cache().config().capacity);
+  EXPECT_LE(warm.cache_entries, service.cache().capacity());
 }
 
 TEST(FusionService, BoundedCacheServiceStaysUnderCapAndServesIdentically) {
   const ServiceFixture fx;
+  GenerateOptions single;
+  single.f = 3;
+  single.policy = DescentPolicy::kFewestBlocks;
+  const FusionResult expected =
+      testing::oracle_generate_fusion(fx.product.top, fx.originals, single);
+  ASSERT_FALSE(expected.partitions.empty());
 
-  FusionServiceOptions unbounded_options;
-  unbounded_options.cache_config = {CacheEvictionPolicy::kUnbounded, 0};
-  FusionService unbounded = fx.make_service(unbounded_options);
-  unbounded.submit("c", {fx.originals, 3, DescentPolicy::kFewestBlocks});
-  const auto expected = unbounded.drain();
-  ASSERT_EQ(expected.size(), 1u);
-
-  for (const CacheEvictionPolicy policy :
-       {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch}) {
+  // The default capacity runs first: it never evicts, so its resident
+  // entries are the request's whole working set.
+  std::size_t working_set = 0;
+  for (const std::size_t capacity :
+       {LowerCoverCache::kDefaultCapacity, std::size_t{4}, std::size_t{2},
+        std::size_t{1}}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
     FusionServiceOptions options;
-    options.cache_config = {policy, 2};  // far below the descent's needs
+    options.cache_capacity = capacity;
     FusionService service = fx.make_service(options);
     for (int round = 0; round < 2; ++round) {
       service.submit("c", {fx.originals, 3, DescentPolicy::kFewestBlocks});
       const auto responses = service.drain();
       ASSERT_EQ(responses.size(), 1u);
-      EXPECT_EQ(responses[0].result.partitions,
-                expected[0].result.partitions);
-      EXPECT_LE(service.cache().size(), 2u);
+      EXPECT_EQ(responses[0].result.partitions, expected.partitions);
+      EXPECT_LE(service.cache().size(), capacity);
     }
     const auto stats = service.stats();
+    EXPECT_LE(stats.cache_entries, capacity);
+    if (working_set == 0) {
+      working_set = stats.cache_entries;
+      ASSERT_GT(working_set, 2u);  // capacities 1 and 2 must evict
+    }
+    if (capacity >= working_set) {
+      EXPECT_EQ(stats.cache_evictions, 0u);
+      EXPECT_EQ(stats.cache_eviction_misses, 0u);
+      continue;
+    }
     EXPECT_GT(stats.cache_evictions, 0u);
     // Round 2 re-misses evicted covers: counted as eviction misses, so
     // cold-miss stats stay meaningful under the bound.
     EXPECT_GT(stats.cache_eviction_misses, 0u);
-    EXPECT_LE(stats.cache_entries, 2u);
   }
 }
 

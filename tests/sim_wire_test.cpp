@@ -107,14 +107,14 @@ TEST(WireNegotiation, UnknownOpeningLineGetsOneErrorThenEof) {
 TEST(WireNegotiation, HelloAcceptsOnlyTheCurrentVersionOfferingBin) {
   // Every earlier version changed a payload's shape, so its hello must
   // fail the handshake instead of decoding garbage mid-stream.
-  for (int version = 1; version <= 6; ++version) {
+  for (int version = 1; version <= 7; ++version) {
     const std::string hello = "hello " + std::to_string(version) + " bin,text";
     EXPECT_THROW((void)parse_client_hello(hello), ContractViolation) << hello;
   }
   // The current version without a binary offer has nothing in common.
-  EXPECT_THROW((void)parse_client_hello("hello 7 text"), ContractViolation);
-  EXPECT_TRUE(parse_client_hello("hello 7 bin,text"));
-  EXPECT_TRUE(parse_client_hello("hello 7 future,bin"));
+  EXPECT_THROW((void)parse_client_hello("hello 8 text"), ContractViolation);
+  EXPECT_TRUE(parse_client_hello("hello 8 bin,text"));
+  EXPECT_TRUE(parse_client_hello("hello 8 future,bin"));
   std::string hello = wire_hello();
   hello.pop_back();  // read_line strips the '\n'
   EXPECT_TRUE(parse_client_hello(hello));

@@ -145,7 +145,7 @@ void handle_top(Worker& worker, const Frame& command) {
   FusionServiceOptions options;
   options.parallel = worker.config.parallel;
   options.pool = worker.pool ? &*worker.pool : nullptr;
-  options.cache_config = worker.config.cache_config;
+  options.cache_capacity = worker.config.cache_capacity;
   options.obs = &worker.obs;
   options.obs_top = command.key;
   worker.services.emplace(
@@ -335,9 +335,9 @@ struct MetricsHub {
 MetricsHub* g_metrics_hub = nullptr;  // set once in main, before any thread
 
 /// The kCacheWarm command: imports a snapshot into the service's cache
-/// (answered with ok). Imports bypass admission but respect capacity, so a
-/// warmed worker still serves bit-identically. Snapshots travel the other
-/// way only inside serve replies (see run_serve).
+/// (answered with ok). Imports respect capacity, and a warmed worker still
+/// serves bit-identically. Snapshots travel the other way only inside
+/// serve replies (see run_serve).
 Frame handle_cachewarm(Worker& worker, const Frame& command) {
   worker.service_of(command.key).service.warm_cache(command.entries);
   return Frame(FrameType::kOk);

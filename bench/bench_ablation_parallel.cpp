@@ -53,7 +53,7 @@ void report() {
 
     std::vector<Partition> cover;
     const double cover_ms = json.measure_ms(
-        "lower_cover_t" + std::to_string(threads),
+        std::string("lower_cover_t").append(std::to_string(threads)),
         [&] { cover = lower_cover(top, identity, cover_options); }, 3, 1);
     if (threads == 1)
       serial_cover = cover;
@@ -64,7 +64,7 @@ void report() {
     FaultGraphOptions graph_options;
     graph_options.pool = &pool;
     const double graph_ms = json.measure_ms(
-        "fault_graph_t" + std::to_string(threads),
+        std::string("fault_graph_t").append(std::to_string(threads)),
         [&] {
           benchmark::DoNotOptimize(
               FaultGraph::build(2048, parts, graph_options));

@@ -147,7 +147,7 @@ void report_cold_scaling(bench::JsonReporter& json) {
         FusionResult result;
         std::uint64_t sinks = 0;
         const std::string label =
-            "cold_scaling_" + top + "_" + std::to_string(threads) + "t";
+            "cold_scaling_" + top + '_' + std::to_string(threads) + 't';
         const double ms = json.measure_ms(
             label,
             [&] {
@@ -238,6 +238,7 @@ void report() {
   // and its timings pollute the perf history with noise.
   const std::uint32_t max_threads =
       std::max(1u, std::thread::hardware_concurrency());
+  bool all_identical = true;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     if (threads > max_threads) continue;
     ThreadPool pool(threads);
@@ -247,7 +248,7 @@ void report() {
     parallel.pool = &pool;
     FusionResult parallel_result;
     const std::string label =
-        "catalog_f2_parallel" + std::to_string(threads);
+        std::string("catalog_f2_parallel").append(std::to_string(threads));
     const double parallel_ms = json.measure_ms(
         label,
         [&] {
@@ -257,9 +258,9 @@ void report() {
     const bool identical =
         serial_result.partitions == parallel_result.partitions;
     const double speedup = parallel_ms > 0 ? serial_ms / parallel_ms : 0.0;
-    json.add_metric("catalog_f2",
-                    "speedup_" + std::to_string(threads) + "threads",
-                    speedup);
+    const std::string speedup_key =
+        std::string("speedup_").append(std::to_string(threads)) + "threads";
+    json.add_metric("catalog_f2", speedup_key, speedup);
     sweep.add_row({std::to_string(threads), fmt2(parallel_ms),
                    fmt2(speedup, "x"),
                    std::to_string(parallel_result.stats.closures_evaluated)});
@@ -268,8 +269,9 @@ void report() {
         ("catalog f=2 parallel partitions bit-identical to serial at " +
          std::to_string(threads) + " threads")
             .c_str());
+    all_identical = all_identical && identical;
   }
-  json.add_metric("catalog_f2", "bit_identical", 1.0);
+  json.add_metric("catalog_f2", "bit_identical", all_identical ? 1.0 : 0.0);
   json.add_metric("catalog_f2", "machines_added",
                   static_cast<double>(serial_result.stats.machines_added));
   std::printf("top=%u\n%s\n", cp.top.size(), sweep.to_string().c_str());

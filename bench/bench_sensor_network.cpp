@@ -82,7 +82,7 @@ void sensor_event_throughput(benchmark::State& state) {
   std::vector<std::string> names;
   names.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i)
-    names.push_back("evt" + std::to_string(i));
+    names.push_back(std::string("evt").append(std::to_string(i)));
   for (std::uint32_t i = 0; i < count; ++i) weights.emplace_back(names[i], 1u);
   Server backup{
       make_weighted_mod_counter(alphabet, "backup", 3, weights)};

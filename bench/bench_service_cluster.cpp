@@ -32,7 +32,7 @@
 #include "obs/obs.hpp"
 #include "sim/backend_config.hpp"
 #include "sim/cluster.hpp"
-#include "sim/replica_backend.hpp"
+#include "sim/wire_backend.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -50,7 +50,7 @@ struct Workload {
 Workload make_workload() {
   Workload w;
   for (const std::uint32_t k : {8u, 10u, 12u}) {
-    w.keys.push_back("top" + std::to_string(k));
+    w.keys.push_back(std::string("top").append(std::to_string(k)));
     w.products.push_back(bench::counter_pair_product(k));
     w.originals.push_back(bench::original_partitions(w.products.back()));
   }
@@ -79,7 +79,8 @@ void submit_clients(FusionCluster& cluster, const Workload& w) {
       request.f = 1 + c % 3;
       request.policy = c % 2 == 0 ? DescentPolicy::kFewestBlocks
                                   : DescentPolicy::kMostBlocks;
-      cluster.submit(w.keys[t], "client" + std::to_string(c),
+      cluster.submit(w.keys[t],
+                     std::string("client").append(std::to_string(c)),
                      std::move(request));
     }
 }
@@ -145,8 +146,9 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
       baseline.reserve(responses.size());
       for (const auto& r : responses) baseline.push_back(r.result.partitions);
     } else {
-      bench::require(responses.size() == baseline.size(),
-                     "bounded run answers every client");
+      if (!bench::require(responses.size() == baseline.size(),
+                          "bounded run answers every client"))
+        return;
       for (std::size_t i = 0; i < responses.size(); ++i)
         bench::require(responses[i].result.partitions == baseline[i],
                        "bounded cache serves bit-identical fusions");
@@ -296,8 +298,9 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
       baseline.reserve(responses.size());
       for (const auto& r : responses) baseline.push_back(r.result.partitions);
     } else {
-      bench::require(responses.size() == baseline.size(),
-                     "out-of-process backend answers every client");
+      if (!bench::require(responses.size() == baseline.size(),
+                          "out-of-process backend answers every client"))
+        return;
       for (std::size_t i = 0; i < responses.size(); ++i)
         bench::require(responses[i].result.partitions == baseline[i],
                        "out-of-process backend serves bit-identical fusions");
@@ -337,9 +340,10 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
     // what the CI step summary tabulates across backends.
     const obs::ObsSnapshot obs_snap = cluster->obs_snapshot();
     const auto drain_hist = obs_snap.histograms.find("cluster.drain");
-    bench::require(drain_hist != obs_snap.histograms.end() &&
-                       drain_hist->second.count() > 0,
-                   "instrumented cluster recorded its drains");
+    if (!bench::require(drain_hist != obs_snap.histograms.end() &&
+                            drain_hist->second.count() > 0,
+                        "instrumented cluster recorded its drains"))
+      return;
     json.add_metric(name, "drain_p50_us",
                     static_cast<double>(drain_hist->second.percentile(50)));
     json.add_metric(name, "drain_p95_us",
@@ -619,8 +623,9 @@ void report_obs(bench::JsonReporter& json, const Workload& w,
   for (const char* series : {"cluster.drain", "wire.roundtrip",
                              "gen.request"}) {
     const auto it = snap.histograms.find(series);
-    bench::require(it != snap.histograms.end() && it->second.count() > 0,
-                   "merged snapshot carries the advertised series");
+    if (!bench::require(it != snap.histograms.end() && it->second.count() > 0,
+                        "merged snapshot carries the advertised series"))
+      return;
     const std::uint64_t p50 = it->second.percentile(50);
     const std::uint64_t p95 = it->second.percentile(95);
     const std::uint64_t p99 = it->second.percentile(99);

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,14 +40,23 @@ inline std::vector<Partition> original_partitions(const CrossProduct& cp) {
   return out;
 }
 
+/// Checks that failed so far in this run (see require).
+inline int checks_failed = 0;
+
 /// Load-bearing correctness check inside a bench report: benches double as
 /// large-workload regression tests (bit-identical parallel results, ablation
 /// equivalence), so a failed check must fail the CI job, not just print.
-inline void require(bool ok, const char* what) {
+/// A failure is printed and counted, and the bench runs on to its end —
+/// every section still reports, BENCH_<name>.json is still written and
+/// every worker process is still stopped — before FFSM_BENCH_MAIN exits 1.
+/// Returns `ok`, so code that relies on the check can leave its section:
+/// `if (!bench::require(...)) return;`.
+inline bool require(bool ok, const char* what) {
   if (!ok) {
     std::fprintf(stderr, "BENCH CHECK FAILED: %s\n", what);
-    std::exit(1);
+    ++checks_failed;
   }
+  return ok;
 }
 
 /// "[39 39]" style size list ("[-]" for none).
@@ -170,7 +178,8 @@ class JsonReporter {
   bool written_ = false;
 };
 
-/// Standard entry point: print the report, then run benchmarks.
+/// Standard entry point: print the report, then run benchmarks. Exits 1
+/// when any bench::require failed.
 #define FFSM_BENCH_MAIN(report_fn)                                   \
   int main(int argc, char** argv) {                                  \
     report_fn();                                                     \
@@ -178,7 +187,7 @@ class JsonReporter {
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();                           \
     ::benchmark::Shutdown();                                         \
-    return 0;                                                        \
+    return ::ffsm::bench::checks_failed == 0 ? 0 : 1;                \
   }
 
 }  // namespace ffsm::bench

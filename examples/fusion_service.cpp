@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<Partition>> originals;
   for (const std::uint32_t k : {10u, 12u, 14u}) {
     const CrossProduct cp = counter_top(k);
-    const std::string key = "counters-" + std::to_string(k);
+    const std::string key = std::string("counters-").append(std::to_string(k));
     cluster.add_top(key, cp.top);
     std::printf("registered %-11s (%3u states) on shard %zu\n", key.c_str(),
                 cp.top.size(), cluster.shard_of(key));
@@ -252,8 +252,9 @@ int main(int argc, char** argv) {
   // Batch 1: nine clients spread over the three tops.
   for (std::size_t t = 0; t < keys.size(); ++t)
     for (const std::uint32_t f : {1u, 2u, 3u})
-      cluster.submit(keys[t], "tenant" + std::to_string(t) + "-f" +
-                                  std::to_string(f),
+      cluster.submit(keys[t],
+                     std::string("tenant").append(std::to_string(t)) + "-f" +
+                         std::to_string(f),
                      {originals[t], f});
 
   WallTimer cold;
@@ -270,7 +271,7 @@ int main(int argc, char** argv) {
   // their descents mostly lookups, within each top's memory bound (the
   // cache lives wherever the backend does: here or in a worker process).
   for (std::size_t t = 0; t < keys.size(); ++t)
-    cluster.submit(keys[t], "late" + std::to_string(t),
+    cluster.submit(keys[t], std::string("late").append(std::to_string(t)),
                    {originals[t], 2, DescentPolicy::kMostBlocks});
 
   WallTimer warm;

@@ -43,9 +43,9 @@ void small_networks_via_algorithm2() {
     auto alphabet = Alphabet::create();
     std::vector<Dfsm> sensors;
     for (std::uint32_t i = 0; i < k; ++i)
-      sensors.push_back(make_mod_counter(alphabet,
-                                         "sensor" + std::to_string(i), 3,
-                                         "evt" + std::to_string(i)));
+      sensors.push_back(make_mod_counter(
+          alphabet, std::string("sensor").append(std::to_string(i)), 3,
+          std::string("evt").append(std::to_string(i))));
     const CrossProduct cp = reachable_cross_product(sensors);
     GenerateOptions options;
     options.f = 1;
@@ -80,10 +80,11 @@ int full_scale_claim(std::uint32_t sensor_count, std::uint32_t faulty) {
   std::vector<std::string> event_names;
   event_names.reserve(sensor_count);
   for (std::uint32_t i = 0; i < sensor_count; ++i)
-    event_names.push_back("evt" + std::to_string(i));
+    event_names.push_back(std::string("evt").append(std::to_string(i)));
   for (std::uint32_t i = 0; i < sensor_count; ++i) {
     servers.emplace_back(make_mod_counter(
-        alphabet, "sensor" + std::to_string(i), 3, event_names[i]));
+        alphabet, std::string("sensor").append(std::to_string(i)), 3,
+        event_names[i]));
     support.push_back(*alphabet->find(event_names[i]));
     all_events.emplace_back(event_names[i], 1u);
   }

@@ -52,7 +52,7 @@
 // replication — the classical baseline
 #include "replication/replication.hpp"
 
-// net — transport primitives under the wire backends
+// net — transport primitives under the wire backend
 #include "net/health.hpp"
 #include "net/line_channel.hpp"
 #include "net/listener.hpp"
@@ -66,7 +66,6 @@
 #include "sim/event_source.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/messages.hpp"
-#include "sim/replica_backend.hpp"
 #include "sim/server.hpp"
-#include "sim/subprocess_backend.hpp"
 #include "sim/system.hpp"
+#include "sim/wire_backend.hpp"

@@ -39,11 +39,14 @@ std::string_view request_path(std::string_view head) {
 std::string http_response(int status, std::string_view reason,
                           std::string_view content_type,
                           std::string_view body) {
-  std::string out = "HTTP/1.0 " + std::to_string(status) + " ";
+  std::string out = "HTTP/1.0 ";
+  out += std::to_string(status);
+  out += ' ';
   out += reason;
   out += "\r\nContent-Type: ";
   out += content_type;
-  out += "\r\nContent-Length: " + std::to_string(body.size());
+  out += "\r\nContent-Length: ";
+  out += std::to_string(body.size());
   out += "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;

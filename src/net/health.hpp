@@ -12,7 +12,7 @@
 // milliseconds instead of hanging the prober on a read that TCP keepalive
 // would take minutes to break.
 //
-// Consumers (sim::ReplicaBackend) read the published state to order
+// Consumers (sim::WireBackend) read the published state to order
 // failover candidates and to notice a higher-priority replica coming
 // back (fail-back). Verdicts are advisory by design: a stale kDown must
 // only deprioritize an endpoint, never exclude it — the monitor is an

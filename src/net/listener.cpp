@@ -29,7 +29,7 @@ Listener::Listener(std::uint16_t port, int backlog)
   addr.sin_port = htons(port);
   if (::bind(socket_.fd(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0)
-    fail("bind to port " + std::to_string(port));
+    fail(std::string("bind to port ").append(std::to_string(port)));
   if (::listen(socket_.fd(), backlog) != 0) fail("listen");
   // Report the actual port (the kernel's pick when port was 0).
   sockaddr_in bound = {};

@@ -1,6 +1,6 @@
 // Bounded exponential backoff for transport operations.
 //
-// One policy type serves both retry sites of the replica backend: connect
+// One policy type serves both retry sites of the wire backend: connect
 // attempts against a worker that may still be restarting, and in-flight
 // re-submit of a serve batch whose connection dropped mid-exchange.
 // Attempts are bounded — a shard that cannot reach its worker must fail

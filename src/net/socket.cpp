@@ -200,8 +200,8 @@ Socket Socket::connect(const std::string& host, std::uint16_t port,
   for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
     Socket socket(::socket(ai->ai_family,
                            ai->ai_socktype | SOCK_CLOEXEC,  // see
-                           // subprocess_backend: a concurrent fork must not
-                           // inherit this fd and mask the peer's EOF.
+                           // wire_backend's spawn: a concurrent fork must
+                           // not inherit this fd and mask the peer's EOF.
                            ai->ai_protocol));
     if (!socket.valid()) {
       last_error = std::string("socket() failed (") + std::strerror(errno) +

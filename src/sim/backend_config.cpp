@@ -2,8 +2,7 @@
 
 #include <utility>
 
-#include "sim/replica_backend.hpp"
-#include "sim/subprocess_backend.hpp"
+#include "sim/wire_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace ffsm {
@@ -49,37 +48,12 @@ make_backend_factory(BackendConfig config) {
       throw ContractViolation("BackendConfig: endpoint '" + endpoint.host +
                               "' has port 0");
 
-  switch (config.kind) {
-    case BackendConfig::Kind::kInProcess:
-      // The cluster's default backend already honours the service options
-      // embedders set on FusionClusterOptions; an empty factory selects it.
-      return {};
-    case BackendConfig::Kind::kSubprocess:
-      return [config = std::move(config)](std::size_t) {
-        SubprocessBackendOptions options;
-        options.worker_path = config.worker_path;
-        options.config = config.service;
-        options.obs = config.obs;
-        return std::make_unique<SubprocessBackend>(std::move(options));
-      };
-    case BackendConfig::Kind::kReplica:
-      return [config = std::move(config)](std::size_t) {
-        ReplicaBackendOptions options;
-        options.endpoints = config.endpoints;
-        options.config = config.service;
-        options.connect_timeout = config.connect_timeout;
-        options.connect_retry = config.connect_retry;
-        options.serve_retry = config.serve_retry;
-        options.serve_window = config.serve_window;
-        options.keepalive_idle_s = config.keepalive_idle_s;
-        options.keepalive_interval_s = config.keepalive_interval_s;
-        options.keepalive_probes = config.keepalive_probes;
-        options.monitor = config.monitor;
-        options.obs = config.obs;
-        return std::make_unique<ReplicaBackend>(std::move(options));
-      };
-  }
-  return {};  // unreachable: all enumerators covered above
+  // The cluster's default backend already honours the service options
+  // embedders set on FusionClusterOptions; an empty factory selects it.
+  if (config.kind == BackendConfig::Kind::kInProcess) return {};
+  return [config = std::move(config)](std::size_t) {
+    return std::make_unique<WireBackend>(config);
+  };
 }
 
 }  // namespace ffsm

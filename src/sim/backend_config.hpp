@@ -1,14 +1,11 @@
 // BackendConfig: one declarative description of a cluster's serving tier.
 //
-// Before this header every backend had its own options struct and every
-// embedder (examples/fusion_service, benches, tests) special-cased each
-// kind at the FusionClusterOptions::backend_factory call site — one lambda
-// per kind, each naming one backend's options type and copying the shared
-// knobs by hand. A BackendConfig names the kind plus the union of the
-// knobs once; make_backend_factory() validates the shape (endpoint counts
-// per kind) and returns the factory the cluster consumes. The per-backend
-// option structs stay the programmatic API for embedders that want one
-// specific backend; this is the configuration-driven path.
+// A BackendConfig names the kind of backend plus every knob of it, and is
+// the only options struct: WireBackend is built from one, and
+// make_backend_factory() validates the shape (endpoint counts per kind)
+// and returns the factory FusionClusterOptions::backend_factory consumes,
+// so embedders (examples/fusion_service, benches, tests) never
+// special-case a kind at the call site.
 #pragma once
 
 #include <chrono>
@@ -29,10 +26,10 @@ namespace ffsm {
 struct BackendConfig {
   /// Where a shard's FusionServices live. kInProcess: this address space
   /// (the cluster's built-in default). kSubprocess: one ffsm_shard_worker
-  /// child per shard over a stdio socketpair. kReplica: an ordered seed
-  /// list of remote worker replicas per shard with lossless failover —
-  /// one endpoint is a plain remote worker, every shard on its own
-  /// connection.
+  /// child per shard over a stdio socketpair — a one-replica set whose
+  /// connect spawns. kReplica: an ordered seed list of remote worker
+  /// replicas per shard with lossless failover — one endpoint is a plain
+  /// remote worker, every shard on its own connection.
   enum class Kind { kInProcess, kSubprocess, kReplica };
 
   Kind kind = Kind::kInProcess;
@@ -41,29 +38,37 @@ struct BackendConfig {
   /// kSubprocess none.
   std::vector<net::Endpoint> endpoints;
   /// Worker binary for kSubprocess; empty = discovery rules
-  /// (discover_worker_path). Ignored by the connecting kinds.
+  /// (discover_worker_path). Ignored by the other kinds.
   std::string worker_path;
   /// Wire-safe service options shipped to workers at every handshake
   /// (and used verbatim by the in-process services).
   ShardServiceConfig service = {};
-  /// Connection knobs, meaningful for kReplica (defaults match
-  /// ReplicaBackendOptions; see there for semantics).
-  std::chrono::milliseconds connect_timeout{2000};
+  /// Backoff across connect rounds; every round scans the whole replica
+  /// set once (kSubprocess: spawns once). Exhausted rounds fail the
+  /// attempt.
   net::RetryPolicy connect_retry = {};
+  /// In-flight re-submit: how often a serve batch whose connection died
+  /// mid-exchange is re-sent (each attempt connects first — possibly to a
+  /// different replica, or to a fresh child) before the drain fails and
+  /// the cluster re-queues.
   net::RetryPolicy serve_retry = {2, std::chrono::milliseconds(50),
                                   std::chrono::milliseconds(1000), 2};
+  /// Maximum request frames in flight per serve exchange — the
+  /// backpressure window. A backlog larger than this drains as several
+  /// windows, each waiting for its responses.
   std::size_t serve_window = 32;
-  int keepalive_idle_s = 30;
-  int keepalive_interval_s = 10;
-  int keepalive_probes = 3;
-  /// Optional liveness oracle shared across shards; kReplica only.
+  /// Liveness oracle for the kReplica seed list, shared across shards;
+  /// the backend watch()es its endpoints. Optional — without one,
+  /// failover still works (pure priority-order scanning) but fail-back
+  /// happens only on reconnect.
   std::shared_ptr<net::HealthMonitor> monitor;
   /// Optional observability context handed to every backend the factory
   /// builds (nullptr = uninstrumented). Typically the cluster's own Obs
   /// (FusionCluster::obs()), so backend-side events — wire timing,
-  /// respawns, failovers — land in the same timeline as the cluster's
-  /// drain spans. Ignored by kInProcess (the cluster instruments its
-  /// default backend directly).
+  /// `worker.respawn`, `replica.failover` — land in the same timeline as
+  /// the cluster's drain spans, and obs_snapshot() pulls the worker's own
+  /// snapshot over the wire. Ignored by kInProcess (the cluster
+  /// instruments its default backend directly).
   obs::Obs* obs = nullptr;
 };
 
@@ -76,9 +81,10 @@ struct BackendConfig {
 
 /// Validates `config` and returns the factory for
 /// FusionClusterOptions::backend_factory. kInProcess yields an empty
-/// function (the cluster builds its default backend). Throws
-/// ContractViolation on a shape violation: endpoints where none belong,
-/// an empty kReplica seed list, or a zero port anywhere.
+/// function (the cluster builds its default backend); the other kinds
+/// build a WireBackend per shard. Throws ContractViolation on a shape
+/// violation: endpoints where none belong, an empty kReplica seed list, or
+/// a zero port anywhere.
 [[nodiscard]] std::function<std::unique_ptr<ShardBackend>(std::size_t)>
 make_backend_factory(BackendConfig config);
 

@@ -238,7 +238,7 @@ void FusionCluster::serve_shard(Shard& shard, std::uint64_t parent_span,
     TopEntry* entry = backlogged[i].second;
     if (drains[i].error) {
       // The backend kept the batch queued internally; retried on the next
-      // cluster drain (a subprocess backend respawns its worker then).
+      // cluster drain (a wire backend connects afresh then).
       record_failure(key);
       requeued += entry->inflight.size();
       continue;
@@ -441,14 +441,14 @@ FusionCluster::Stats FusionCluster::stats() const {
 
 obs::ObsSnapshot FusionCluster::obs_snapshot() {
   obs::ObsSnapshot out = obs_->snapshot();
-  // Each wire backend answers a kObs query (SubprocessBackend over its
-  // stdio channel, ReplicaBackend over the current replica connection);
+  // Each wire backend answers a kObs query over its live connection (a
+  // spawned worker's stdio channel or the current replica's socket);
   // in-process backends already recorded into obs_ and return {}. Merge
   // tags the remote spans with their shard so the Chrome export lays each
   // worker out on its own process track.
   for (std::size_t s = 0; s < shards_.size(); ++s)
     out.merge(shards_[s].backend->obs_snapshot(),
-              "shard" + std::to_string(s));
+              std::string("shard").append(std::to_string(s)));
   return out;
 }
 
@@ -464,7 +464,7 @@ void FusionCluster::poll_telemetry() {
                            &parent.gauges);
   windows_.ingest("parent", parent, now);
   for (std::size_t s = 0; s < shards_.size(); ++s)
-    windows_.ingest("shard" + std::to_string(s),
+    windows_.ingest(std::string("shard").append(std::to_string(s)),
                     shards_[s].backend->obs_snapshot(), now);
 }
 

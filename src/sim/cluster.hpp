@@ -15,10 +15,11 @@
 //
 // The backend behind a shard is pluggable (sim/backend.hpp): the default
 // InProcessBackend reproduces the pre-backend behaviour bit-identically;
-// SubprocessBackend (sim/subprocess_backend.hpp) moves each shard into its
-// own OS process behind the wire protocol. The cluster's routing, ticket
-// bookkeeping and failure handling are backend-agnostic, and every backend
-// must serve bit-identical responses for the same request stream.
+// WireBackend (sim/wire_backend.hpp) moves each shard into a worker
+// process behind the wire protocol — a private child, or a replica set.
+// The cluster's routing, ticket bookkeeping and failure handling are
+// backend-agnostic, and every backend must serve bit-identical responses
+// for the same request stream.
 //
 // Failure model: the cluster validates only that a request names a
 // registered top. Request contents (partition sizes) are validated by the
@@ -27,8 +28,8 @@
 // which tops failed and discard_pending() evicts a poisoned backlog. A
 // shard whose batched generation throws — or whose worker process died —
 // keeps the drained requests queued inside its backend and the cluster
-// retries them on the next drain (a subprocess backend respawns its worker
-// then).
+// retries them on the next drain (a wire backend connects afresh — spawns
+// a new worker, or fails over — then).
 #pragma once
 
 #include <atomic>

@@ -192,8 +192,9 @@ DescentPolicy policy_from_wire(std::uint8_t v) {
 /// from a hostile frame, a misconfigured parent before it sends one.
 void check_config(const ShardServiceConfig& config) {
   if (config.threads > kMaxWireThreads)
-    bad("config asks for more than " + std::to_string(kMaxWireThreads) +
-        " threads");
+    bad(std::string("config asks for more than ")
+            .append(std::to_string(kMaxWireThreads))
+            .append(" threads"));
   if (config.cache_capacity == 0) bad("config cache capacity 0");
 }
 

@@ -88,11 +88,10 @@ struct ServiceStats {
   std::uint64_t requests_submitted = 0;
   std::uint64_t requests_served = 0;
   std::uint64_t batches_served = 0;
-  /// Worker restarts this serving state survived: respawned processes
-  /// (SubprocessBackend), re-established connections (ReplicaBackend). Always
-  /// 0 from the serving side itself — the backend that owns the restart
-  /// policy fills it, since the restarted worker cannot count its own
-  /// deaths.
+  /// Worker restarts this serving state survived: respawned processes and
+  /// re-established connections (WireBackend). Always 0 from the serving
+  /// side itself — the backend that owns the restart policy fills it,
+  /// since the restarted worker cannot count its own deaths.
   std::uint64_t restarts = 0;
   /// Times the serving endpoint moved to a different replica (failover on
   /// a dead primary, fail-back to a revived one). Filled parent-side by
@@ -253,11 +252,11 @@ class WireArena {
 };
 
 /// The wire encoding: how a Frame becomes bytes and back. Both directions
-/// of every backend (QueuedWireBackend subclasses parent-side, the shard
-/// worker on the other end) speak Frame through this class and never
-/// touch encoding details. Decoding stages payloads in the codec's arena,
-/// so decode/expect/read_command are non-const and one codec must not be
-/// shared by concurrent readers; encode is const and may be.
+/// (WireBackend parent-side, the shard worker on the other end) speak
+/// Frame through this class and never touch encoding details. Decoding
+/// stages payloads in the codec's arena, so decode/expect/read_command are
+/// non-const and one codec must not be shared by concurrent readers;
+/// encode is const and may be.
 class WireCodec {
  public:
   /// Appends `frame`'s wire bytes to `out`.

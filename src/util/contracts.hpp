@@ -22,7 +22,7 @@ namespace detail {
 [[noreturn]] inline void contract_fail(const char* kind, const char* expr,
                                        const char* file, int line) {
   throw ContractViolation(std::string(kind) + " failed: " + expr + " at " +
-                          file + ":" + std::to_string(line));
+                          file + ':' + std::to_string(line));
 }
 }  // namespace detail
 

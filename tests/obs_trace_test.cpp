@@ -38,7 +38,7 @@ TEST(RingTraceRecorder, KeepsTheMostRecentWindowAcrossWraparound) {
   // Exactly spans 13..20, oldest first — the ring dropped 1..12.
   for (int i = 0; i < 8; ++i)
     EXPECT_EQ(spans[static_cast<std::size_t>(i)].name,
-              "s" + std::to_string(13 + i))
+              std::string("s").append(std::to_string(13 + i)))
         << i;
   // Recorder-assigned ids are unique and nonzero.
   for (std::size_t i = 0; i < spans.size(); ++i) {

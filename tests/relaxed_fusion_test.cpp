@@ -127,8 +127,8 @@ TEST_P(RelaxedSweep, ValidFusionOnRandomSystems) {
     spec.states = 4;
     spec.num_events = 2;
     spec.seed = seed * 53 + i;
-    machines.push_back(
-        make_random_connected_dfsm(al, "m" + std::to_string(i), spec));
+    machines.push_back(make_random_connected_dfsm(
+        al, std::string("m").append(std::to_string(i)), spec));
   }
   const CrossProduct cp = reachable_cross_product(machines);
   std::vector<Partition> originals;

@@ -104,8 +104,8 @@ TEST(StateSpace, SaturatesInsteadOfOverflowing) {
   auto al = Alphabet::create();
   std::vector<Dfsm> machines;
   for (int i = 0; i < 6; ++i)
-    machines.push_back(
-        make_shift_register(al, "sr" + std::to_string(i), 16));
+    machines.push_back(make_shift_register(
+        al, std::string("sr").append(std::to_string(i)), 16));
   // (2^16)^6 = 2^96 overflows 64 bits; expect saturation, not wraparound.
   EXPECT_EQ(replication_state_space(machines, 1, FaultModel::kCrash),
             UINT64_MAX);

@@ -332,10 +332,10 @@ TEST(FusionCluster, ConcurrentSubmittersAllGetServed) {
   for (int c = 0; c < 8; ++c)
     clients.emplace_back([&cluster, &fx, c] {
       if (c % 2 == 0)
-        cluster.submit("small", "c" + std::to_string(c),
+        cluster.submit("small", std::string("c").append(std::to_string(c)),
                        {fx.small_originals, 1});
       else
-        cluster.submit("large", "c" + std::to_string(c),
+        cluster.submit("large", std::string("c").append(std::to_string(c)),
                        {fx.large_originals, 1});
     });
   for (auto& c : clients) c.join();

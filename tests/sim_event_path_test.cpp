@@ -147,9 +147,10 @@ void run_differential(FusedSystem& original,
   std::size_t foreign_events = 0, corruptions = 0, recoveries = 0;
 
   for (std::size_t step = 0; step < length; ++step) {
-    SCOPED_TRACE("step " + std::to_string(step));
+    SCOPED_TRACE(std::string("step ").append(std::to_string(step)));
     if (step == length / 3)
-      foreign.push_back(alphabet->intern("late-" + std::to_string(seed)));
+      foreign.push_back(
+          alphabet->intern(std::string("late-").append(std::to_string(seed))));
     if (step == length / 2) {
       copy.emplace(original);
       system = &*copy;
@@ -210,7 +211,7 @@ void check_system(MakeMachines make, std::uint32_t f, std::uint64_t seed,
 
 TEST(EventPath, RecoverSystemMatchesTheStepEverywhereOracle) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(std::string("seed ").append(std::to_string(seed)));
     check_system(testing::recover_mix_machines, 2, seed, 2000);
   }
 }
@@ -226,7 +227,7 @@ TEST_P(CatalogEventPath, MatchesTheStepEverywhereOracle) {
     return testing::catalog_system(kind, alphabet);
   };
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(std::string("seed ").append(std::to_string(seed)));
     check_system(make, f, seed * 10 + kind, 1000);
   }
 }

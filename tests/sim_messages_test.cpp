@@ -575,8 +575,8 @@ TEST(WireCodec, OutOfBoundsConfigValuesThrow) {
   EXPECT_EQ(at_bound.config.threads, kMaxWireThreads);  // the controls
   EXPECT_EQ(at_bound.config.cache_capacity, 1u);
   EXPECT_EQ(codec.decode(config_frame(0, 0)).config.threads, 0u);
-  const std::string too_many =
-      "more than " + std::to_string(kMaxWireThreads) + " threads";
+  const std::string limit = std::to_string(kMaxWireThreads);
+  const std::string too_many = "more than " + limit + " threads";
   expect_rejected(config_frame(1, kMaxWireThreads + 1), too_many);
   expect_rejected(config_frame(1, ~std::uint64_t{0}), too_many);
   expect_rejected(config_frame(1, 4, 0), "cache capacity 0");

@@ -1,4 +1,4 @@
-// ReplicaBackend: a shard served through a replica set survives the loss
+// A replica set: a shard served through one survives the loss
 // of its primary worker without losing (or re-queueing) a single request —
 // the batch drains through the secondary bit-identically to in-process
 // serving; with every replica dead requests stay queued until one
@@ -6,7 +6,7 @@
 // (fail-back) without dropping in-flight work; and the failover handshake
 // replays the warm cache snapshot so the secondary's first drain serves
 // from the dead primary's hot set.
-#include "sim/replica_backend.hpp"
+#include "sim/wire_backend.hpp"
 
 #include <gtest/gtest.h>
 
@@ -61,16 +61,16 @@ struct ReplicaFixture {
   }
 };
 
-/// Fast-failing options for tests: bounded waits, lean serial workers.
-ReplicaBackendOptions fast_options(std::vector<std::uint16_t> ports) {
-  ReplicaBackendOptions options;
+/// Fast-failing config for tests: bounded waits, lean serial workers.
+BackendConfig fast_config(std::vector<std::uint16_t> ports) {
+  BackendConfig config;
+  config.kind = BackendConfig::Kind::kReplica;
   for (const std::uint16_t port : ports)
-    options.endpoints.push_back({"127.0.0.1", port});
-  options.config.parallel = false;
-  options.connect_timeout = milliseconds(2000);
-  options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
-  options.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
-  return options;
+    config.endpoints.push_back({"127.0.0.1", port});
+  config.service.parallel = false;
+  config.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
+  config.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
+  return config;
 }
 
 /// A manual-drive monitor (tests call probe_now()) with instant verdicts.
@@ -93,10 +93,10 @@ TEST(ReplicaBackend, PipelinesTheTopsOfARoundWindowByWindow) {
   ReplicaFixture fx;
   ListenerWorkerProcess worker;
   obs::Obs obs;
-  ReplicaBackendOptions options = fast_options({worker.port()});
-  options.obs = &obs;
-  options.serve_window = 2;  // three requests on "small": two windows
-  ReplicaBackend backend(options);
+  BackendConfig config = fast_config({worker.port()});
+  config.obs = &obs;
+  config.serve_window = 2;  // three requests on "small": two windows
+  WireBackend backend(config);
   backend.add_top("small", fx.product.top);
   backend.add_top("twin", fx.product.top);
 
@@ -147,7 +147,7 @@ TEST(ReplicaBackend, PrimaryKillMidStreamFailsOverLosslessly) {
   ReplicaFixture fx;
   auto primary = std::make_unique<ListenerWorkerProcess>();
   ListenerWorkerProcess secondary;
-  ReplicaBackend backend(fast_options({primary->port(), secondary.port()}));
+  WireBackend backend(fast_config({primary->port(), secondary.port()}));
   backend.add_top("small", fx.product.top);
 
   // Warm exchange pins the primary (priority order, both replicas alive).
@@ -166,8 +166,8 @@ TEST(ReplicaBackend, PrimaryKillMidStreamFailsOverLosslessly) {
       fx.request(3)};
   std::vector<std::uint64_t> tickets;
   for (std::size_t i = 0; i < asks.size(); ++i)
-    tickets.push_back(
-        backend.submit("small", "c" + std::to_string(i), asks[i]));
+    tickets.push_back(backend.submit(
+        "small", std::string("c").append(std::to_string(i)), asks[i]));
   primary->kill();
 
   const auto responses = backend.drain("small");
@@ -200,8 +200,7 @@ TEST(ReplicaBackend, AllReplicasDeadKeepsRequestsQueuedUntilOneRevives) {
   auto primary = std::make_unique<ListenerWorkerProcess>();
   auto secondary = std::make_unique<ListenerWorkerProcess>();
   const std::uint16_t secondary_port = secondary->port();
-  ReplicaBackend backend(
-      fast_options({primary->port(), secondary_port}));
+  WireBackend backend(fast_config({primary->port(), secondary_port}));
   backend.add_top("small", fx.product.top);
   primary->kill();
   secondary->kill();
@@ -234,10 +233,9 @@ TEST(ReplicaBackend, FailsBackToARevivedPrimaryWithoutDroppingWork) {
   auto primary = std::make_unique<ListenerWorkerProcess>();
   ListenerWorkerProcess secondary;
   const std::uint16_t primary_port = primary->port();
-  ReplicaBackendOptions options =
-      fast_options({primary_port, secondary.port()});
-  options.monitor = monitor;
-  ReplicaBackend backend(options);
+  BackendConfig config = fast_config({primary_port, secondary.port()});
+  config.monitor = monitor;
+  WireBackend backend(config);
   backend.add_top("small", fx.product.top);
   const net::Endpoint primary_endpoint{"127.0.0.1", primary_port};
 
@@ -293,12 +291,12 @@ TEST(ReplicaCluster, DrainSurvivesPrimaryKillWithoutARequeue) {
   auto primary = std::make_unique<ListenerWorkerProcess>();
   ListenerWorkerProcess secondary;
 
-  ReplicaBackend* raw_backend = nullptr;
+  WireBackend* raw_backend = nullptr;
   FusionClusterOptions cluster_options;
   cluster_options.shards = 1;
   cluster_options.backend_factory = [&](std::size_t) {
-    auto backend = std::make_unique<ReplicaBackend>(
-        fast_options({primary->port(), secondary.port()}));
+    auto backend = std::make_unique<WireBackend>(
+        fast_config({primary->port(), secondary.port()}));
     raw_backend = backend.get();
     return backend;
   };
@@ -333,7 +331,7 @@ TEST(ReplicaBackend, FailoverReplaysWarmCacheToTheSecondary) {
   ReplicaFixture fx;
   auto primary = std::make_unique<ListenerWorkerProcess>();
   ListenerWorkerProcess secondary;
-  ReplicaBackend backend(fast_options({primary->port(), secondary.port()}));
+  WireBackend backend(fast_config({primary->port(), secondary.port()}));
   backend.add_top("small", fx.product.top);
 
   // First drain on the primary; afterwards the backend captures the
@@ -342,7 +340,8 @@ TEST(ReplicaBackend, FailoverReplaysWarmCacheToTheSecondary) {
       fx.request(1), fx.request(2),
       fx.request(3, DescentPolicy::kMostBlocks)};
   for (std::size_t i = 0; i < asks.size(); ++i)
-    backend.submit("small", "warm" + std::to_string(i), asks[i]);
+    backend.submit("small", std::string("warm").append(std::to_string(i)),
+                   asks[i]);
   const auto warm = backend.drain("small");
   ASSERT_EQ(warm.size(), asks.size());
   ASSERT_EQ(backend.current_replica(), 0u);
@@ -353,7 +352,8 @@ TEST(ReplicaBackend, FailoverReplaysWarmCacheToTheSecondary) {
   // where a cold failover target would re-enter them all as cold misses.
   primary->kill();
   for (std::size_t i = 0; i < asks.size(); ++i)
-    backend.submit("small", "over" + std::to_string(i), asks[i]);
+    backend.submit("small", std::string("over").append(std::to_string(i)),
+                   asks[i]);
   const auto over = backend.drain("small");
   ASSERT_EQ(over.size(), asks.size());
   EXPECT_EQ(backend.current_replica(), 1u);
@@ -373,10 +373,12 @@ TEST(ReplicaBackend, FailoverReplaysWarmCacheToTheSecondary) {
 }
 
 TEST(ReplicaBackend, RejectsAnEmptyOrUnconnectableSeedList) {
-  EXPECT_THROW(ReplicaBackend{ReplicaBackendOptions{}}, ContractViolation);
-  ReplicaBackendOptions zero_port;
+  BackendConfig empty;
+  empty.kind = BackendConfig::Kind::kReplica;
+  EXPECT_THROW(WireBackend{empty}, ContractViolation);
+  BackendConfig zero_port = empty;
   zero_port.endpoints = {{"127.0.0.1", 0}};
-  EXPECT_THROW(ReplicaBackend{std::move(zero_port)}, ContractViolation);
+  EXPECT_THROW(WireBackend{std::move(zero_port)}, ContractViolation);
 }
 
 }  // namespace

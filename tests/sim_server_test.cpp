@@ -268,7 +268,7 @@ TEST(FusionService, ConcurrentSubmittersAllGetServed) {
       FusionRequest r;
       r.originals = originals;
       r.f = 1 + static_cast<std::uint32_t>(c % 3);
-      service.submit("client" + std::to_string(c), r);
+      service.submit(std::string("client").append(std::to_string(c)), r);
     });
   for (auto& c : clients) c.join();
   EXPECT_EQ(service.pending(), 6u);

@@ -1,14 +1,18 @@
-// SubprocessBackend: out-of-process shards serve bit-identically to
-// in-process ones, survive SIGKILLed workers by respawning and re-serving
-// the still-queued requests, and route unserveable backlogs through the
-// cluster's existing failed-drain path.
-#include "sim/subprocess_backend.hpp"
+// A subprocess shard — a WireBackend whose one replica is a worker it
+// spawns: out-of-process shards serve bit-identically to in-process ones,
+// survive SIGKILLed workers by respawning inside the same drain and
+// re-serving the still-queued requests, reap every worker they spawned,
+// and route unserveable backlogs through the cluster's existing
+// failed-drain path.
+#include "sim/wire_backend.hpp"
 
 #include <signal.h>
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -28,6 +32,7 @@ namespace {
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
 using ffsm::testing::oracle_generate_fusion;
+using std::chrono::milliseconds;
 
 /// The standard two-top fixture plus the reference results a cluster of
 /// any backend must reproduce bit-identically.
@@ -48,10 +53,22 @@ struct SubprocessFixture {
   }
 };
 
+/// A subprocess shard: one private worker, spawned on the first drain.
+BackendConfig subprocess_config() {
+  BackendConfig config;
+  config.kind = BackendConfig::Kind::kSubprocess;
+  return config;
+}
+
+/// Whether this test process has no child left, reaped or not.
+bool no_child_left() {
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
 /// A cluster whose every shard is a subprocess worker; raw backend
 /// pointers are kept so tests can kill the processes underneath.
 struct SubprocessCluster {
-  std::vector<SubprocessBackend*> backends;
+  std::vector<WireBackend*> backends;
   std::unique_ptr<FusionCluster> cluster;
 
   explicit SubprocessCluster(const SubprocessFixture& fx,
@@ -59,10 +76,9 @@ struct SubprocessCluster {
     FusionClusterOptions options;
     options.shards = shards;
     options.backend_factory = [this](std::size_t) {
-      SubprocessBackendOptions backend_options;
-      backend_options.config.parallel = false;  // lean workers for tests
-      auto backend =
-          std::make_unique<SubprocessBackend>(backend_options);
+      BackendConfig config = subprocess_config();
+      config.service.parallel = false;  // lean workers for tests
+      auto backend = std::make_unique<WireBackend>(config);
       backends.push_back(backend.get());
       return backend;
     };
@@ -71,14 +87,14 @@ struct SubprocessCluster {
     cluster->add_top("large", fx.large.top);
   }
 
-  SubprocessBackend& backend_of(const std::string& key) const {
+  WireBackend& backend_of(const std::string& key) const {
     return *backends[cluster->shard_of(key)];
   }
 };
 
 TEST(SubprocessBackend, ServesBitIdenticallyToDirectGeneration) {
   const SubprocessFixture fx;
-  SubprocessBackend backend;
+  WireBackend backend(subprocess_config());
   backend.add_top("small", fx.small.top);
   EXPECT_EQ(backend.worker_pid(), 0);  // spawn is lazy
 
@@ -92,7 +108,7 @@ TEST(SubprocessBackend, ServesBitIdenticallyToDirectGeneration) {
 
   const auto responses = backend.drain("small");
   EXPECT_GT(backend.worker_pid(), 0);
-  EXPECT_EQ(backend.spawns(), 1u);
+  EXPECT_EQ(backend.connects(), 1u);
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(backend.pending("small"), 0u);
   EXPECT_EQ(responses[0].ticket, t1);
@@ -116,7 +132,7 @@ TEST(SubprocessBackend, ServesBitIdenticallyToDirectGeneration) {
   EXPECT_EQ(warm[0].result.partitions, responses[0].result.partitions);
   EXPECT_EQ(warm[0].result.stats.closures_evaluated, 0u);  // all cached
   EXPECT_GT(backend.stats("small").cache_hits, 0u);
-  EXPECT_EQ(backend.spawns(), 1u);  // same worker throughout
+  EXPECT_EQ(backend.connects(), 1u);  // same worker throughout
 
   backend.validate("small", {fx.small_originals, 1});
   EXPECT_THROW(backend.validate("small", {fx.large_originals, 1}),
@@ -126,7 +142,7 @@ TEST(SubprocessBackend, ServesBitIdenticallyToDirectGeneration) {
 
 TEST(SubprocessBackend, ShutdownReapsWorkerAndNextDrainRespawns) {
   const SubprocessFixture fx;
-  SubprocessBackend backend;
+  WireBackend backend(subprocess_config());
   backend.add_top("small", fx.small.top);
   backend.submit("small", "a", {fx.small_originals, 1});
   const auto first = backend.drain("small");
@@ -144,12 +160,12 @@ TEST(SubprocessBackend, ShutdownReapsWorkerAndNextDrainRespawns) {
   const auto second = backend.drain("small");
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].result.partitions, first[0].result.partitions);
-  EXPECT_EQ(backend.spawns(), 2u);
+  EXPECT_EQ(backend.connects(), 2u);
 }
 
 TEST(SubprocessBackend, RespawnReplaysWarmCacheToTheFreshWorker) {
   const SubprocessFixture fx;
-  SubprocessBackend backend;
+  WireBackend backend(subprocess_config());
   backend.add_top("small", fx.small.top);
 
   // First drain computes everything; afterwards the backend captures the
@@ -162,18 +178,17 @@ TEST(SubprocessBackend, RespawnReplaysWarmCacheToTheFreshWorker) {
   const int pid = backend.worker_pid();
   ASSERT_GT(pid, 0);
 
-  // SIGKILL the worker: the respawn handshake replays the snapshot, so
-  // the fresh process serves the repeated stream from its predecessor's
-  // hot set — zero cold misses where an unwarmed respawn would re-enter
-  // every descent partition cold.
+  // SIGKILL the worker (the backend reaps it): the respawn handshake
+  // replays the snapshot, so the fresh process serves the repeated stream
+  // from its predecessor's hot set — zero cold misses where an unwarmed
+  // respawn would re-enter every descent partition cold.
   ::kill(pid, SIGKILL);
-  ::waitpid(pid, nullptr, 0);
   backend.submit("small", "a2", {fx.small_originals, 1});
   backend.submit("small", "b2",
                  {fx.small_originals, 2, DescentPolicy::kMostBlocks});
   const auto second = backend.drain("small");
   ASSERT_EQ(second.size(), 2u);
-  EXPECT_EQ(backend.spawns(), 2u);
+  EXPECT_EQ(backend.connects(), 2u);
   const ServiceStats stats = backend.stats("small");
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_cold_misses, 0u);
@@ -199,8 +214,9 @@ TEST(SubprocessBackend, RespawnReplaysTheHotSetOfAHitOnlyDrain) {
   auto alphabet = Alphabet::create();
   std::vector<Dfsm> machines;
   for (int i = 0; i < 6; ++i)
-    machines.push_back(make_mod_counter(alphabet, "T" + std::to_string(i), 2,
-                                        std::to_string(i)));
+    machines.push_back(make_mod_counter(
+        alphabet, std::string("T").append(std::to_string(i)), 2,
+        std::to_string(i)));
   const CrossProduct toggles = reachable_cross_product(machines);
   const std::vector<Partition> parts = component_partitions(toggles);
   const FusionRequest hot{{parts[0], parts[1]}, 1};
@@ -215,12 +231,12 @@ TEST(SubprocessBackend, RespawnReplaysTheHotSetOfAHitOnlyDrain) {
       }
 
   obs::Obs obs;
-  SubprocessBackendOptions options;
+  BackendConfig config = subprocess_config();
   // Serial batches serve requests in ticket order, so the cache's recency
   // order (and with it the hot set) does not depend on thread timing.
-  options.config.parallel = false;
-  options.obs = &obs;
-  SubprocessBackend backend(options);
+  config.service.parallel = false;
+  config.obs = &obs;
+  WireBackend backend(config);
   backend.add_top("toggles", toggles.top);
 
   // Cold: the request under test, then the others, whose covers push its
@@ -247,13 +263,11 @@ TEST(SubprocessBackend, RespawnReplaysTheHotSetOfAHitOnlyDrain) {
 
   // The respawned worker is warmed with the hit-only drain's hot set, so
   // the request misses nothing.
-  const int pid = backend.worker_pid();
-  ::kill(pid, SIGKILL);
-  ::waitpid(pid, nullptr, 0);
+  ::kill(backend.worker_pid(), SIGKILL);
   backend.submit("toggles", "hot", hot);
   const auto respawned = backend.drain("toggles");
   ASSERT_EQ(respawned.size(), 1u);
-  EXPECT_EQ(backend.spawns(), 2u);
+  EXPECT_EQ(backend.connects(), 2u);
   EXPECT_EQ(respawned[0].result.stats.closures_evaluated, 0u);
   EXPECT_EQ(backend.stats("toggles").cache_cold_misses, 0u);
   EXPECT_EQ(respawned[0].result.partitions, first[0].result.partitions);
@@ -266,10 +280,10 @@ TEST(SubprocessCluster, DrainsEveryBackloggedTopOfAShardInOneRoundTrip) {
   options.shards = 1;
   options.obs = &obs;
   options.backend_factory = [&](std::size_t) {
-    SubprocessBackendOptions backend_options;
-    backend_options.config.parallel = false;
-    backend_options.obs = &obs;
-    return std::make_unique<SubprocessBackend>(backend_options);
+    BackendConfig config = subprocess_config();
+    config.service.parallel = false;
+    config.obs = &obs;
+    return std::make_unique<WireBackend>(config);
   };
   FusionCluster cluster(options);
   cluster.add_top("small", fx.small.top);
@@ -320,7 +334,7 @@ TEST(SubprocessCluster, ServesBitIdenticallyToInProcessCluster) {
       const auto f = static_cast<std::uint32_t>(1 + c % 3);
       cluster.submit("small", std::string("s").append(std::to_string(c)),
                      {fx.small_originals, f});
-      cluster.submit("large", "l" + std::to_string(c),
+      cluster.submit("large", std::string("l").append(std::to_string(c)),
                      {fx.large_originals, f,
                       c % 2 == 0 ? DescentPolicy::kFewestBlocks
                                  : DescentPolicy::kMostBlocks});
@@ -367,31 +381,24 @@ TEST(SubprocessCluster, SigkilledWorkerIsRespawnedAndRequestsStillServe) {
   ASSERT_EQ(first.responses.size(), 2u);
 
   // Kill the worker hosting "small" outright, then ask for more work.
-  SubprocessBackend& small_backend = subprocess.backend_of("small");
+  WireBackend& small_backend = subprocess.backend_of("small");
   const int victim = small_backend.worker_pid();
   ASSERT_GT(victim, 0);
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
+  // The serve exchange finds the corpse (a failed write or EOF), and the
+  // in-drain re-send spawns a fresh worker and serves the batch there: the
+  // same drain answers, nothing is re-queued, no top fails.
   cluster.submit("small", "after-kill", {fx.small_originals, 2});
   const auto report = cluster.drain();
-  // Either the backend noticed the corpse up front (respawn, transparent
-  // recovery) or it died mid-exchange (failed-drain path: re-queued now,
-  // served next round). Both are legal; losing the request is not.
-  std::vector<FusionCluster::Response> served = report.responses;
-  if (served.empty()) {
-    EXPECT_EQ(report.requeued, 1u);
-    ASSERT_EQ(report.failed_tops, std::vector<std::string>{"small"});
-    EXPECT_EQ(cluster.pending(), 1u);
-    const auto retry = cluster.drain();
-    EXPECT_TRUE(retry.failed_tops.empty());
-    served = retry.responses;
-  }
-  ASSERT_EQ(served.size(), 1u);
-  EXPECT_EQ(served[0].client, "after-kill");
-  EXPECT_EQ(served[0].result.partitions,
+  EXPECT_TRUE(report.failed_tops.empty());
+  EXPECT_EQ(report.requeued, 0u);
+  ASSERT_EQ(report.responses.size(), 1u);
+  EXPECT_EQ(report.responses[0].client, "after-kill");
+  EXPECT_EQ(report.responses[0].result.partitions,
             fx.direct(true, 2, DescentPolicy::kFewestBlocks).partitions);
   EXPECT_EQ(cluster.pending(), 0u);
-  EXPECT_EQ(small_backend.spawns(), 2u);  // one respawn, exactly
+  EXPECT_EQ(small_backend.connects(), 2u);  // one respawn, exactly
   EXPECT_NE(small_backend.worker_pid(), victim);
 
   // The fresh worker restarted its counters (real process semantics) but
@@ -401,7 +408,12 @@ TEST(SubprocessCluster, SigkilledWorkerIsRespawnedAndRequestsStillServe) {
   ASSERT_EQ(again.responses.size(), 1u);
   EXPECT_EQ(again.responses[0].result.partitions,
             fx.direct(true, 1, DescentPolicy::kFewestBlocks).partitions);
-  EXPECT_EQ(small_backend.spawns(), 2u);
+  EXPECT_EQ(small_backend.connects(), 2u);
+
+  // The corpse and both live workers were reaped: once the backends are
+  // gone, this process has no child left.
+  subprocess.cluster.reset();
+  EXPECT_TRUE(no_child_left());
 }
 
 TEST(SubprocessCluster, UnspawnableWorkerRoutesThroughFailedDrainPath) {
@@ -413,11 +425,14 @@ TEST(SubprocessCluster, UnspawnableWorkerRoutesThroughFailedDrainPath) {
   options.shards = 1;
   options.parallel = false;
   options.backend_factory = [](std::size_t) {
-    SubprocessBackendOptions backend_options;
-    backend_options.worker_path = "/bin/false";  // dies before 'ok'
-    return std::make_unique<SubprocessBackend>(backend_options);
+    BackendConfig config = subprocess_config();
+    config.worker_path = "/bin/false";  // dies before the hello
+    config.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
+    config.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
+    return std::make_unique<WireBackend>(config);
   };
-  FusionCluster cluster(options);
+  auto owned = std::make_unique<FusionCluster>(options);
+  FusionCluster& cluster = *owned;
   cluster.add_top("small", fx.small.top);
 
   cluster.submit("small", "doomed", {fx.small_originals, 1});
@@ -437,6 +452,10 @@ TEST(SubprocessCluster, UnspawnableWorkerRoutesThroughFailedDrainPath) {
   const auto clean = cluster.drain();
   EXPECT_TRUE(clean.responses.empty());
   EXPECT_TRUE(clean.failed_tops.empty());
+
+  // Every spawn that failed its hello was killed and reaped on the spot.
+  owned.reset();
+  EXPECT_TRUE(no_child_left());
 }
 
 TEST(SubprocessCluster, WorkerSpansStitchUnderParentServeSpans) {
@@ -455,7 +474,7 @@ TEST(SubprocessCluster, WorkerSpansStitchUnderParentServeSpans) {
   std::set<std::size_t> used = {cluster.shard_of("small"),
                                 cluster.shard_of("large")};
   for (int i = 0; used.size() < cluster.shard_count(); ++i) {
-    const std::string key = "stitch" + std::to_string(i);
+    const std::string key = std::string("stitch").append(std::to_string(i));
     if (!used.insert(cluster.shard_of(key)).second) continue;
     cluster.add_top(key, fx.small.top);
     cluster.submit(key, "extra", {fx.small_originals, 1});
@@ -465,7 +484,7 @@ TEST(SubprocessCluster, WorkerSpansStitchUnderParentServeSpans) {
   const auto report = cluster.drain();
   EXPECT_TRUE(report.failed_tops.empty());
   ASSERT_GE(report.responses.size(), 2u);
-  for (SubprocessBackend* backend : subprocess.backends)
+  for (const WireBackend* backend : subprocess.backends)
     ASSERT_GT(backend->worker_pid(), 0);  // three processes, really
 
   const obs::ObsSnapshot snapshot = cluster.obs_snapshot();

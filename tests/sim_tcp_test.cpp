@@ -1,10 +1,10 @@
-// A one-endpoint ReplicaBackend — a plain remote shard: served over real
+// A one-endpoint replica set — a plain remote shard: served over real
 // sockets bit-identically to direct generation, surviving connect-refused
 // and mid-serve connection kills losslessly through the cluster's existing
 // failed-drain re-queue path (recovering once a listener respawns on the
 // same port), and bounding in-flight serve frames by the backpressure
 // window.
-#include "sim/replica_backend.hpp"
+#include "sim/wire_backend.hpp"
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -51,15 +51,15 @@ struct TcpFixture {
   }
 };
 
-/// Fast-failing options for tests: bounded waits, lean serial workers.
-ReplicaBackendOptions fast_options(std::uint16_t port) {
-  ReplicaBackendOptions options;
-  options.endpoints = {{"127.0.0.1", port}};
-  options.config.parallel = false;
-  options.connect_timeout = milliseconds(2000);
-  options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
-  options.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
-  return options;
+/// Fast-failing config for tests: bounded waits, lean serial workers.
+BackendConfig fast_config(std::uint16_t port) {
+  BackendConfig config;
+  config.kind = BackendConfig::Kind::kReplica;
+  config.endpoints = {{"127.0.0.1", port}};
+  config.service.parallel = false;
+  config.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
+  config.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
+  return config;
 }
 
 /// An ephemeral port with nothing listening on it (grabbed, then freed).
@@ -71,7 +71,7 @@ std::uint16_t dead_port() {
 TEST(SingleReplica, ServesBitIdenticallyToDirectGeneration) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  ReplicaBackend backend(fast_options(worker.port()));
+  WireBackend backend(fast_config(worker.port()));
   backend.add_top("small", fx.small.top);
   EXPECT_FALSE(backend.connected());  // connect is lazy
   EXPECT_EQ(backend.connects(), 0u);
@@ -123,7 +123,7 @@ TEST(SingleReplica, ServesBitIdenticallyToDirectGeneration) {
 TEST(SingleReplica, ShutdownDropsTheConnectionNotTheListener) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  ReplicaBackend backend(fast_options(worker.port()));
+  WireBackend backend(fast_config(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "a", {fx.small_originals, 1});
   const auto first = backend.drain("small");
@@ -146,7 +146,7 @@ TEST(SingleReplica, ShutdownDropsTheConnectionNotTheListener) {
 
 TEST(SingleReplica, ConnectRefusedKeepsEveryRequestQueued) {
   const TcpFixture fx;
-  ReplicaBackend backend(fast_options(dead_port()));
+  WireBackend backend(fast_config(dead_port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "doomed", {fx.small_originals, 1});
   for (int round = 0; round < 2; ++round) {
@@ -167,9 +167,9 @@ TEST(SingleReplica, BackpressureWindowSaturationDrainsInBoundedExchanges) {
   // bit-identical to direct generation.
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  ReplicaBackendOptions options = fast_options(worker.port());
-  options.serve_window = 2;
-  ReplicaBackend backend(options);
+  BackendConfig config = fast_config(worker.port());
+  config.serve_window = 2;
+  WireBackend backend(config);
   backend.add_top("small", fx.small.top);
 
   struct Ask {
@@ -235,9 +235,9 @@ TEST(SingleReplica, ServeExchangeSurvivesASignalStorm) {
   const ScopedNoopSigusr1 handler;
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  ReplicaBackendOptions options = fast_options(worker.port());
-  options.serve_window = 2;  // several exchanges => more interruptible I/O
-  ReplicaBackend backend(options);
+  BackendConfig config = fast_config(worker.port());
+  config.serve_window = 2;  // several exchanges => more interruptible I/O
+  WireBackend backend(config);
   // The large fixture on purpose: the drain must run long enough (tens of
   // ms) for hundreds of signals to land inside the exchange, not finish
   // between two of them.
@@ -254,7 +254,8 @@ TEST(SingleReplica, ServeExchangeSurvivesASignalStorm) {
                   c % 2 == 0 ? DescentPolicy::kFewestBlocks
                              : DescentPolicy::kMostBlocks};
     asks.push_back(ask);
-    tickets.push_back(backend.submit("large", "s" + std::to_string(c),
+    tickets.push_back(backend.submit("large",
+                                     std::string("s").append(std::to_string(c)),
                                      {fx.large_originals, ask.f,
                                       ask.policy}));
   }
@@ -298,7 +299,7 @@ TEST(SingleReplica, ServeExchangeSurvivesASignalStorm) {
 /// A cluster whose every shard speaks TCP to the same worker process;
 /// raw backend pointers kept so tests can probe connections underneath.
 struct SingleReplicaCluster {
-  std::vector<ReplicaBackend*> backends;
+  std::vector<WireBackend*> backends;
   std::unique_ptr<FusionCluster> cluster;
 
   SingleReplicaCluster(const TcpFixture& fx, std::uint16_t port,
@@ -306,7 +307,7 @@ struct SingleReplicaCluster {
     FusionClusterOptions options;
     options.shards = shards;
     options.backend_factory = [this, port](std::size_t) {
-      auto backend = std::make_unique<ReplicaBackend>(fast_options(port));
+      auto backend = std::make_unique<WireBackend>(fast_config(port));
       backends.push_back(backend.get());
       return backend;
     };
@@ -315,7 +316,7 @@ struct SingleReplicaCluster {
     cluster->add_top("large", fx.large.top);
   }
 
-  ReplicaBackend& backend_of(const std::string& key) const {
+  WireBackend& backend_of(const std::string& key) const {
     return *backends[cluster->shard_of(key)];
   }
 };
@@ -386,7 +387,7 @@ TEST(SingleReplicaCluster,
   cluster.submit("large", "warm", {fx.large_originals, 1});
   const auto first = cluster.drain();
   ASSERT_EQ(first.responses.size(), 2u);
-  ReplicaBackend& backend = tcp.backend_of("small");
+  WireBackend& backend = tcp.backend_of("small");
   ASSERT_TRUE(backend.connected());
   ASSERT_EQ(backend.connects(), 1u);
 

@@ -3,8 +3,9 @@
 // health probe's bare ping is answered, every refusal — an unknown opening
 // line, a stale or text-only hello, a worker that predates binary framing
 // — is loud and loses nothing, concurrent per-top drains interleave as
-// tagged exchanges on ONE connection, and BackendConfig validates backend
-// shapes uniformly for every embedder.
+// tagged exchanges on ONE connection (to a replica or to a spawned
+// worker), and BackendConfig validates backend shapes uniformly for every
+// embedder.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,8 +21,7 @@
 #include "sim/backend_config.hpp"
 #include "sim/cluster.hpp"
 #include "sim/messages.hpp"
-#include "sim/replica_backend.hpp"
-#include "sim/subprocess_backend.hpp"
+#include "sim/wire_backend.hpp"
 #include "oracle.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
@@ -54,21 +54,21 @@ struct WireFixture {
   }
 };
 
-/// Fast-failing parent options against one worker endpoint.
-ReplicaBackendOptions wire_options(std::uint16_t port) {
-  ReplicaBackendOptions options;
-  options.endpoints = {{"127.0.0.1", port}};
-  options.config.parallel = false;
-  options.connect_timeout = milliseconds(2000);
-  options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
-  options.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
-  return options;
+/// Fast-failing parent config against one worker endpoint.
+BackendConfig wire_config(std::uint16_t port) {
+  BackendConfig config;
+  config.kind = BackendConfig::Kind::kReplica;
+  config.endpoints = {{"127.0.0.1", port}};
+  config.service.parallel = false;
+  config.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
+  config.serve_retry = {2, milliseconds(10), milliseconds(50), 2};
+  return config;
 }
 
 TEST(WireNegotiation, PeersAgreeOnBinary) {
   const WireFixture fx;
   ListenerWorkerProcess worker;
-  ReplicaBackend backend(wire_options(worker.port()));
+  WireBackend backend(wire_config(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "probe", {fx.small_originals, 1});
   const auto responses = backend.drain("small");
@@ -108,7 +108,8 @@ TEST(WireNegotiation, HelloAcceptsOnlyTheCurrentVersionOfferingBin) {
   // Every earlier version changed a payload's shape, so its hello must
   // fail the handshake instead of decoding garbage mid-stream.
   for (int version = 1; version <= 7; ++version) {
-    const std::string hello = "hello " + std::to_string(version) + " bin,text";
+    const std::string hello =
+        std::string("hello ").append(std::to_string(version)) + " bin,text";
     EXPECT_THROW((void)parse_client_hello(hello), ContractViolation) << hello;
   }
   // The current version without a binary offer has nothing in common.
@@ -172,7 +173,7 @@ TEST(WireNegotiation, WorkerWithoutBinaryFramingFailsTheDrainKeepingWork) {
   // error, not an outage: no retry scan, no fallback, nothing lost.
   const WireFixture fx;
   RefusingWorker worker;
-  ReplicaBackend backend(wire_options(worker.port()));
+  WireBackend backend(wire_config(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "doomed", {fx.small_originals, 1});
   try {
@@ -186,40 +187,46 @@ TEST(WireNegotiation, WorkerWithoutBinaryFramingFailsTheDrainKeepingWork) {
   EXPECT_EQ(backend.connects(), 0u);
 }
 
+/// A subprocess shard's config: one private worker spawned on connect.
+BackendConfig spawn_config() {
+  BackendConfig config;
+  config.kind = BackendConfig::Kind::kSubprocess;
+  config.service.parallel = false;
+  return config;
+}
+
 TEST(WireNegotiation, SubprocessSpawnNegotiatesBinary) {
   const WireFixture fx;
-  SubprocessBackend backend;
+  WireBackend backend(spawn_config());
   backend.add_top("small", fx.small.top);
   backend.submit("small", "probe", {fx.small_originals, 2});
   const auto responses = backend.drain("small");
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].result.partitions,
             fx.direct(true, 2, DescentPolicy::kFewestBlocks).partitions);
-  EXPECT_EQ(backend.spawns(), 1u);
+  EXPECT_EQ(backend.connects(), 1u);
   backend.shutdown();
 }
 
-TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
-  // Two tops, drained from two threads at once: both drains run as
-  // tagged exchanges multiplexed on the SAME connection —
-  // no second connect, every response on the right exchange, everything
-  // bit-identical. (Responses landing on the wrong exchange would decode
-  // into the wrong drain and fail the partition comparison.)
-  const WireFixture fx;
-  ListenerWorkerProcess worker;
-  ReplicaBackendOptions options = wire_options(worker.port());
-  options.serve_window = 2;  // several windows per drain => real overlap
-  ReplicaBackend backend(options);
+/// Two tops, drained from two threads at once through a backend built from
+/// `config`: both drains run as tagged exchanges multiplexed on the SAME
+/// connection — no second connect, every response on the right exchange,
+/// everything bit-identical. (Responses landing on the wrong exchange
+/// would decode into the wrong drain and fail the partition comparison.)
+void expect_concurrent_drains_share_one_connection(const WireFixture& fx,
+                                                   BackendConfig config) {
+  config.serve_window = 2;  // several windows per drain => real overlap
+  WireBackend backend(config);
   backend.add_top("small", fx.small.top);
   backend.add_top("large", fx.large.top);
   std::vector<std::uint64_t> small_tickets, large_tickets;
   for (int c = 0; c < 5; ++c) {
     const auto f = static_cast<std::uint32_t>(1 + c % 3);
     small_tickets.push_back(
-        backend.submit("small", "s" + std::to_string(c),
+        backend.submit("small", std::string("s").append(std::to_string(c)),
                        {fx.small_originals, f, DescentPolicy::kMostBlocks}));
     large_tickets.push_back(
-        backend.submit("large", "l" + std::to_string(c),
+        backend.submit("large", std::string("l").append(std::to_string(c)),
                        {fx.large_originals, f}));
   }
 
@@ -264,6 +271,20 @@ TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
   }
 }
 
+TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
+  const WireFixture fx;
+  ListenerWorkerProcess worker;
+  expect_concurrent_drains_share_one_connection(fx,
+                                                wire_config(worker.port()));
+}
+
+TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneSpawnedWorker) {
+  // The same on a subprocess shard: its drains share the one spawned
+  // worker.
+  const WireFixture fx;
+  expect_concurrent_drains_share_one_connection(fx, spawn_config());
+}
+
 TEST(WireMultiplexing, ClusterDrainInterleavesTopsOfOneShard) {
   // The end-to-end path the redesign exists for: a one-shard cluster
   // whose two tops share one worker connection. The cluster's parallel
@@ -290,8 +311,9 @@ TEST(WireMultiplexing, ClusterDrainInterleavesTopsOfOneShard) {
     c->add_top("small", fx.small.top);
     c->add_top("large", fx.large.top);
     for (int i = 0; i < 3; ++i) {
-      c->submit("small", "s" + std::to_string(i), {fx.small_originals, 1});
-      c->submit("large", "l" + std::to_string(i),
+      c->submit("small", std::string("s").append(std::to_string(i)),
+                {fx.small_originals, 1});
+      c->submit("large", std::string("l").append(std::to_string(i)),
                 {fx.large_originals, 2, DescentPolicy::kMostBlocks});
     }
   }

@@ -1,18 +1,19 @@
-// ffsm_shard_worker: the out-of-process half of the serving backends.
+// ffsm_shard_worker: the out-of-process half of the wire backend.
 //
 // One worker hosts one cluster shard: a FusionService per registered top,
 // served over the wire protocol (sim/messages.hpp). Two transports, one
 // protocol:
 //
-//   (default)        stdin/stdout — the SubprocessBackend socketpair
-//                    bridge; one connection, then exit.
+//   (default)        stdin/stdout — the socketpair a kSubprocess
+//                    WireBackend spawns its worker over; one connection,
+//                    then exit.
 //   --listen <port>  a TCP listener (port 0 = ephemeral; the actual port
-//                    is announced as `listening <port>` on stdout) — a
-//                    ReplicaBackend's remote end. Each accepted connection
-//                    is served on its own thread with its own clean state,
-//                    so several shards (or several clusters) can share one
-//                    worker process; `shutdown` ends the connection, not
-//                    the listener.
+//                    is announced as `listening <port>` on stdout) — the
+//                    remote end of a kReplica WireBackend. Each accepted
+//                    connection is served on its own thread with its own
+//                    clean state, so several shards (or several clusters)
+//                    can share one worker process; `shutdown` ends the
+//                    connection, not the listener.
 //
 // Every connection opens with one text line. A parent's `hello <version>
 // bin[,...]` is answered `hello <version> bin` and both sides switch to
@@ -249,7 +250,8 @@ struct TraceFile {
   void absorb(const obs::Obs& obs) {
     obs::ObsSnapshot snap = obs.snapshot();
     const std::lock_guard<std::mutex> lock(mutex);
-    const std::string source = "conn" + std::to_string(++connections);
+    const std::string source =
+        std::string("conn").append(std::to_string(++connections));
     spans.reserve(spans.size() + snap.spans.size());
     for (obs::TraceSpan& span : snap.spans) {
       if (span.source.empty()) span.source = source;

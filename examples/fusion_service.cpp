@@ -387,5 +387,12 @@ int main(int argc, char** argv) {
   // The monitor's prober thread records into `obs`; stop it before `obs`
   // (declared later, destroyed first) goes away.
   if (cli.backend.monitor) cli.backend.monitor->stop();
+  // A run that left requests unserved failed, whatever it printed above.
+  if (stats.requests_served < stats.requests_submitted) {
+    std::fprintf(stderr, "%s: served only %llu of %llu requests\n", argv[0],
+                 static_cast<unsigned long long>(stats.requests_served),
+                 static_cast<unsigned long long>(stats.requests_submitted));
+    return 1;
+  }
   return 0;
 }

@@ -33,6 +33,7 @@
 
 // fault — fault graphs and tolerance
 #include "fault/fault_graph.hpp"
+#include "fault/weakest_pairs.hpp"
 #include "fault/tolerance.hpp"
 
 // fusion — (f,m)-fusion theory and generators

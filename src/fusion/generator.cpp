@@ -3,22 +3,13 @@
 #include <exception>
 #include <utility>
 
+#include "fault/weakest_pairs.hpp"
 #include "partition/quotient.hpp"
 #include "util/contracts.hpp"
 
 namespace ffsm {
 
 namespace {
-
-/// True iff `p` separates both endpoints of every listed edge.
-bool covers_all(const Partition& p,
-                std::span<const std::pair<std::uint32_t, std::uint32_t>>
-                    edges) {
-  const std::span<const std::uint32_t> block = p.assignment();
-  for (const auto& [i, j] : edges)
-    if (block[i] == block[j]) return false;
-  return true;
-}
 
 /// True iff `candidate`, if viable, is the policy's pick over `best`, the
 /// viable candidate picked so far. Ties keep the earlier candidate.
@@ -45,10 +36,8 @@ FusionResult generate_fusion(const Dfsm& top,
   for (const Partition& p : originals) FFSM_EXPECTS(p.size() == n);
 
   FusionResult result;
-  const FaultGraphOptions graph_options{.pool = options.pool,
-                                        .parallel = options.parallel};
-  FaultGraph graph = FaultGraph::build(n, originals, graph_options);
-  result.stats.dmin_before = graph.dmin();
+  WeakestPairs weakest(n, originals);
+  result.stats.dmin_before = weakest.dmin();
 
   // The memo turns the shared prefix of all descents (every descent starts
   // at the identity partition) into lookups; a caller-provided cache extends
@@ -65,15 +54,12 @@ FusionResult generate_fusion(const Dfsm& top,
 
   // Outer loop: one fusion machine per iteration until dmin exceeds f.
   // dmin == kInfinity (single-state top) tolerates everything already.
-  while (graph.dmin() != FaultGraph::kInfinity && graph.dmin() <= options.f) {
-    // Weakest edges are fixed for the whole descent (Lemma 1): the candidate
-    // machine increases dmin iff it separates every one of them. One memoized
-    // O(E) derivation per outer iteration.
-    const auto& weakest = graph.weakest_edges();
-    FFSM_ASSERT(!weakest.empty());
-
+  while (weakest.dmin() != WeakestPairs::kInfinity &&
+         weakest.dmin() <= options.f) {
+    // The weakest pairs are fixed for the whole descent (Lemma 1): the
+    // candidate machine increases dmin iff it separates every one of them.
     // Descend from the top of the lattice (identity partition separates all
-    // pairs, hence always covers the weakest edges — Theorem 4's existence
+    // pairs, hence always covers the weakest pairs — Theorem 4's existence
     // argument).
     Partition current = Partition::identity(n);
     while (true) {
@@ -91,21 +77,20 @@ FusionResult generate_fusion(const Dfsm& top,
       const Partition* next = nullptr;
       for (const Partition& c : *cover)
         if ((next == nullptr || beats(c, *next, options.policy)) &&
-            covers_all(c, weakest))
+            weakest.separated_by(c))
           next = &c;
       if (next == nullptr) break;
       current = *next;
       ++result.stats.descent_steps;
     }
 
-    graph.add_machine(current);
+    weakest.add_machine(current);
     result.partitions.push_back(std::move(current));
     ++result.stats.machines_added;
   }
 
-  result.stats.graph_edges_examined += graph.edges_examined();
-  result.stats.dmin_after = graph.dmin();
-  FFSM_ENSURES(result.stats.dmin_after == FaultGraph::kInfinity ||
+  result.stats.dmin_after = weakest.dmin();
+  FFSM_ENSURES(result.stats.dmin_after == WeakestPairs::kInfinity ||
                result.stats.dmin_after > options.f);
   return result;
 }

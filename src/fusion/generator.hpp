@@ -8,12 +8,13 @@
 //
 // Inner loop (lattice descent): start from the top (identity partition,
 // which separates everything) and repeatedly move to a lower-cover element
-// that still covers every *weakest edge* of the current fault graph
-// G(A ∪ F); stop when no such element exists. The weakest-edge set is fixed
-// for the whole descent (it only changes when F changes — paper Lemma 1), so
-// it is computed once per outer iteration, and the fault graph itself is
-// kept by delta updates as machines are added. tests/oracle.hpp holds the
-// reference that rebuilds the graph every iteration and memoizes nothing.
+// that still covers every *weakest edge* of the fault graph G(A ∪ F); stop
+// when no such element exists. The weakest-edge set is fixed for the whole
+// descent (it only changes when F changes — paper Lemma 1). No fault graph
+// is built: WeakestPairs (fault/weakest_pairs.hpp) reads dmin and the
+// weakest pairs from the machines' state tuples, and an added machine
+// updates them in place. tests/oracle.hpp holds the reference that
+// rebuilds the fault graph every iteration and memoizes nothing.
 //
 // The paper's line 6 is nondeterministic ("∃ F ∈ C"); DescentPolicy selects
 // which viable candidate to follow, which affects the size (not the
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_graph.hpp"
 #include "fsm/dfsm.hpp"
 #include "fsm/product.hpp"
 #include "partition/lower_cover.hpp"
@@ -50,9 +50,8 @@ struct GenerateOptions {
   /// Crash faults to tolerate (use 2*f here to tolerate f Byzantine faults).
   std::uint32_t f = 1;
   DescentPolicy policy = DescentPolicy::kFewestBlocks;
-  /// Fan the fault-graph build and each lower cover's maximality filter
-  /// out across the thread pool; false runs them on the calling thread.
-  /// Results are identical either way.
+  /// Fan each lower cover's maximality filter out across the thread pool;
+  /// false runs it on the calling thread. Results are identical either way.
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Optional lower-cover memo shared across calls; must be dedicated to
@@ -85,8 +84,6 @@ struct GenerateStats {
   std::uint64_t closures_evaluated = 0;
   /// Lower-cover calls served entirely from the memo.
   std::uint64_t cover_cache_hits = 0;
-  /// Fault-graph edge slots examined (build + per-iteration maintenance).
-  std::uint64_t graph_edges_examined = 0;
   std::uint32_t dmin_before = 0;
   std::uint32_t dmin_after = 0;
 };

@@ -8,11 +8,18 @@
 // socketpair) or a borrowed read/write fd pair (the worker's stdin/stdout
 // bridge). It never looks inside a frame; decoding stays in sim/messages.
 //
+// Reads take whatever has arrived, up to a 64 KiB chunk, and keep the
+// surplus for the next read, so a burst of frames costs one receive
+// rather than two per frame. A payload of a chunk or more is read straight
+// into its destination.
+//
 // All failures throw NetError: a clean EOF at a line or frame boundary is
 // the one non-error outcome (read_line / read_exact return false), EOF
 // inside a line or a frame is a torn message and throws.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -46,10 +53,13 @@ class LineChannel {
       : owned_(std::move(other.owned_)),
         read_fd_(other.read_fd_),
         write_fd_(other.write_fd_),
-        buffer_(std::move(other.buffer_)) {
+        buffer_(std::move(other.buffer_)),
+        capacity_(other.capacity_),
+        begin_(other.begin_),
+        end_(other.end_) {
     other.read_fd_ = -1;
     other.write_fd_ = -1;
-    other.buffer_.clear();
+    other.drop_buffer();
   }
   LineChannel& operator=(LineChannel&& other) noexcept {
     if (this != &other) {
@@ -57,9 +67,12 @@ class LineChannel {
       read_fd_ = other.read_fd_;
       write_fd_ = other.write_fd_;
       buffer_ = std::move(other.buffer_);
+      capacity_ = other.capacity_;
+      begin_ = other.begin_;
+      end_ = other.end_;
       other.read_fd_ = -1;
       other.write_fd_ = -1;
-      other.buffer_.clear();
+      other.drop_buffer();
     }
     return *this;
   }
@@ -71,7 +84,7 @@ class LineChannel {
     owned_.close();
     read_fd_ = -1;
     write_fd_ = -1;
-    buffer_.clear();
+    drop_buffer();
   }
 
   /// Half-dead the underlying socket (::shutdown SHUT_RDWR) without
@@ -106,18 +119,30 @@ class LineChannel {
   /// Reads exactly `count` bytes into `dst` — the wire's header and
   /// payload reads. Returns false on clean EOF before the first byte; EOF
   /// mid-read is a torn message and throws NetError, as do read errors.
-  /// Already-buffered bytes (e.g. what followed the hello line) are
-  /// consumed first. The deadline overload additionally throws NetError
-  /// once `deadline` passes with bytes still missing. A failed read does
-  /// not resume: the bytes it already got stay in `dst` and are gone from
-  /// the channel, so the stream is mid-frame and the caller must tear the
-  /// connection down (the worker does on that NetError).
+  /// Already-buffered bytes (e.g. what followed the hello line, or the
+  /// rest of a burst) are consumed first. The deadline overload
+  /// additionally throws NetError once `deadline` passes with bytes still
+  /// missing. A failed read does not resume: the bytes it already got stay
+  /// in `dst` and are gone from the channel, so the stream is mid-frame and
+  /// the caller must tear the connection down (the worker does on that
+  /// NetError).
   bool read_exact(char* dst, std::size_t count);
   bool read_exact(char* dst, std::size_t count, Deadline deadline);
 
  private:
   bool read_exact_until(char* dst, std::size_t count,
                         const Deadline* deadline);
+  /// Copies up to `count` buffered bytes to `dst`; returns how many.
+  std::size_t take(char* dst, std::size_t count) noexcept;
+  /// One receive of whatever has arrived into the buffer, after the bytes
+  /// not yet returned; returns the count, 0 on EOF.
+  std::size_t receive(const Deadline* deadline);
+  void drop_buffer() noexcept {
+    buffer_.reset();
+    capacity_ = 0;
+    begin_ = 0;
+    end_ = 0;
+  }
   bool read_line_until(std::string& line, const Deadline* deadline);
   [[nodiscard]] std::string expect_line_until(const char* context,
                                               const Deadline* deadline);
@@ -125,7 +150,12 @@ class LineChannel {
   Socket owned_;
   int read_fd_ = -1;
   int write_fd_ = -1;
-  std::string buffer_;  // bytes received but not yet returned
+  // Bytes received but not yet returned: buffer_[begin_, end_) of a
+  // capacity_-byte block, allocated by the first receive.
+  std::unique_ptr<char[]> buffer_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace ffsm::net

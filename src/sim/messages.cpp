@@ -119,8 +119,7 @@ std::size_t WireArena::capacity() const noexcept {
 //   kResponse    u64 ticket, str client, u32 n, n x partition,
 //                u32 machines_added, u32 descent_steps,
 //                u64 candidates_examined, u64 closures_evaluated,
-//                u64 cover_cache_hits, u64 graph_edges_examined,
-//                u32 dmin_before, u32 dmin_after
+//                u64 cover_cache_hits, u32 dmin_before, u32 dmin_after
 //   (kOk, kDone, kPing, kPong, kShutdown, kBye: empty payload)
 
 namespace {
@@ -370,7 +369,6 @@ void encode_binary_payload(const Frame& frame, std::string& out) {
       put_u64(out, s.candidates_examined);
       put_u64(out, s.closures_evaluated);
       put_u64(out, s.cover_cache_hits);
-      put_u64(out, s.graph_edges_examined);
       put_u32(out, s.dmin_before);
       put_u32(out, s.dmin_after);
       return;
@@ -515,7 +513,6 @@ Frame decode_binary_payload(FrameType type, BinReader& in) {
       s.candidates_examined = in.u64();
       s.closures_evaluated = in.u64();
       s.cover_cache_hits = in.u64();
-      s.graph_edges_examined = in.u64();
       s.dmin_before = in.u32();
       s.dmin_after = in.u32();
       break;
@@ -665,7 +662,9 @@ namespace {
 //       directives and binary payload bytes).
 //   8 — the cache policy byte left the config frame (the closure cache is
 //       always LRU), and the admission counters left the stats frame.
-constexpr std::string_view kHelloVersion = "8";
+//   9 — graph_edges_examined left the response frame (Algorithm 2 builds
+//       no fault graph).
+constexpr std::string_view kHelloVersion = "9";
 
 }  // namespace
 

@@ -305,7 +305,7 @@ class WireCodec {
 // the parent sends `hello <version> bin`, the worker answers `hello
 // <version> bin`, and both switch to binary frames. The version is a
 // single integer both sides must match exactly; it is bumped whenever a
-// payload changes shape (current: 8 — see kHelloVersion in messages.cpp
+// payload changes shape (current: 9 — see kHelloVersion in messages.cpp
 // for the history). A worker that cannot accept the opening line — another
 // version, no `bin` among the offers, or no hello at all — answers
 // `error <detail>` and closes, and the parent fails the connection with a

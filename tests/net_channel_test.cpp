@@ -138,6 +138,103 @@ TEST(NetChannel, EofInsideAReadExactIsATornMessage) {
   EXPECT_FALSE(channel.read_exact(header, sizeof(header)));
 }
 
+/// `count` length-prefixed frames in one buffer: a u32 little-endian
+/// length, then that many bytes of the frame's index. Frame 7 is longer
+/// than a read chunk, so it starts in a buffered burst and ends in a read
+/// straight into its destination.
+std::string frame_burst(std::uint32_t count) {
+  std::string out;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t length = i == 7 ? 100'000 : 1 + i * 13 % 200;
+    for (int b = 0; b < 4; ++b)
+      out.push_back(static_cast<char>((length >> (8 * b)) & 0xff));
+    out.append(length, static_cast<char>('a' + i % 26));
+  }
+  return out;
+}
+
+/// Reads one frame of frame_burst() back; false on clean EOF.
+bool read_frame(LineChannel& channel, std::string& payload) {
+  unsigned char header[4];
+  if (!channel.read_exact(reinterpret_cast<char*>(header), sizeof(header)))
+    return false;
+  std::uint32_t length = 0;
+  for (int b = 3; b >= 0; --b) length = length << 8 | header[b];
+  payload.assign(length, '\0');
+  if (!channel.read_exact(payload.data(), length))
+    throw NetError("peer closed the stream mid-frame");
+  return true;
+}
+
+TEST(NetChannel, FramesSentInOneWriteComeBackOnePerReadExact) {
+  // The sender's one write arrives in bursts of many frames; each
+  // read_exact must still return exactly its frame, in order, whatever
+  // the burst boundaries.
+  constexpr std::uint32_t kFrames = 60;
+  Listener listener(0);
+  std::thread client([port = listener.port()] {
+    Socket socket =
+        Socket::connect("127.0.0.1", port, milliseconds(2000));
+    socket.send_all(frame_burst(kFrames));
+  });
+  LineChannel channel(listener.accept());
+  std::string payload;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(read_frame(channel, payload)) << i;
+    const std::uint32_t length = i == 7 ? 100'000 : 1 + i * 13 % 200;
+    ASSERT_EQ(payload, std::string(length, static_cast<char>('a' + i % 26)))
+        << i;
+  }
+  EXPECT_FALSE(read_frame(channel, payload));  // clean EOF after the last
+  client.join();
+}
+
+TEST(NetChannel, LineThenFramesInOneSegmentKeepByteOrder) {
+  // A hello line with binary frames right behind it in the same write:
+  // read_line must leave the frames' bytes for read_exact, in order, and
+  // a second line after the frames still reads as a line.
+  Listener listener(0);
+  std::thread client([port = listener.port()] {
+    Socket socket =
+        Socket::connect("127.0.0.1", port, milliseconds(2000));
+    socket.send_all("hello 9 bin\n" + frame_burst(3) + "ping\n");
+  });
+  LineChannel channel(listener.accept());
+  std::string line;
+  ASSERT_TRUE(channel.read_line(line));
+  EXPECT_EQ(line, "hello 9 bin");
+  std::string payload;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(read_frame(channel, payload));
+    EXPECT_EQ(payload,
+              std::string(1 + i * 13 % 200, static_cast<char>('a' + i)));
+  }
+  ASSERT_TRUE(channel.read_line(line));
+  EXPECT_EQ(line, "ping");
+  EXPECT_FALSE(channel.read_line(line));
+  client.join();
+}
+
+TEST(NetChannel, BurstEndingMidFrameIsATornMessage) {
+  // Whole frames, then a frame whose payload stops at 20 of its 50 bytes,
+  // then EOF: the whole frames read, and the cut one is torn although its
+  // first bytes came in the same burst as the frames before it.
+  std::string burst = frame_burst(4);
+  burst += std::string("\x32\0\0\0", 4) + std::string(20, 'z');
+  Listener listener(0);
+  std::thread client([port = listener.port(), &burst] {
+    Socket socket =
+        Socket::connect("127.0.0.1", port, milliseconds(2000));
+    socket.send_all(burst);
+  });
+  LineChannel channel(listener.accept());
+  std::string payload;
+  for (std::uint32_t i = 0; i < 4; ++i)
+    ASSERT_TRUE(read_frame(channel, payload)) << i;
+  client.join();
+  EXPECT_THROW((void)read_frame(channel, payload), NetError);
+}
+
 TEST(NetChannel, DeadlineReadFailsInBoundedTimeOnASilentPeer) {
   // A peer that sends half a line and then goes silent (still connected —
   // keepalive never fires) must fail a deadline read when the deadline

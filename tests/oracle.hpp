@@ -62,7 +62,7 @@ inline std::vector<Partition> oracle_lower_cover(const Dfsm& machine,
 /// Algorithm 2 on `top` from `originals`, reading only options.f and
 /// options.policy. Stats count the work the way generate_fusion does, for
 /// a run that caches nothing: B(B-1)/2 pairs for every cover of a B-block
-/// partition, and the edges_examined() of every fault graph built.
+/// partition.
 inline FusionResult oracle_generate_fusion(
     const Dfsm& top, std::span<const Partition> originals,
     const GenerateOptions& options) {
@@ -75,7 +75,6 @@ inline FusionResult oracle_generate_fusion(
     if (result.stats.machines_added == 0)
       result.stats.dmin_before = graph.dmin();
     if (graph.dmin() == FaultGraph::kInfinity || graph.dmin() > options.f) {
-      result.stats.graph_edges_examined += graph.edges_examined();
       result.stats.dmin_after = graph.dmin();
       return result;
     }
@@ -113,7 +112,6 @@ inline FusionResult oracle_generate_fusion(
       }
       ++result.stats.descent_steps;
     }
-    result.stats.graph_edges_examined += graph.edges_examined();
     machines.push_back(current);
     result.partitions.push_back(std::move(current));
     ++result.stats.machines_added;

@@ -67,7 +67,6 @@ void expect_same_frame(const Frame& back, const Frame& sent) {
   EXPECT_EQ(b.candidates_examined, s.candidates_examined);
   EXPECT_EQ(b.closures_evaluated, s.closures_evaluated);
   EXPECT_EQ(b.cover_cache_hits, s.cover_cache_hits);
-  EXPECT_EQ(b.graph_edges_examined, s.graph_edges_examined);
   EXPECT_EQ(b.dmin_before, s.dmin_before);
   EXPECT_EQ(b.dmin_after, s.dmin_after);
 #define FFSM_EXPECT_STAT(name, agg) \
@@ -144,7 +143,6 @@ TEST(WireResponseCodec, RandomResponsesRoundTripByteIdentically) {
     s.candidates_examined = rng();
     s.closures_evaluated = rng();
     s.cover_cache_hits = rng();
-    s.graph_edges_examined = rng();
     s.dmin_before = static_cast<std::uint32_t>(rng());
     s.dmin_after = static_cast<std::uint32_t>(rng());
     expect_round_trip(frame);

@@ -4,8 +4,8 @@
 // line, a stale or text-only hello, a worker that predates binary framing
 // — is loud and loses nothing, concurrent per-top drains interleave as
 // tagged exchanges on ONE connection (to a replica or to a spawned
-// worker), and BackendConfig validates backend shapes uniformly for every
-// embedder.
+// worker) served by at most one worker thread per concurrent drain, and
+// BackendConfig validates backend shapes uniformly for every embedder.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +18,7 @@
 #include "net/line_channel.hpp"
 #include "net/listener.hpp"
 #include "net/socket.hpp"
+#include "obs/obs.hpp"
 #include "sim/backend_config.hpp"
 #include "sim/cluster.hpp"
 #include "sim/messages.hpp"
@@ -107,15 +108,15 @@ TEST(WireNegotiation, UnknownOpeningLineGetsOneErrorThenEof) {
 TEST(WireNegotiation, HelloAcceptsOnlyTheCurrentVersionOfferingBin) {
   // Every earlier version changed a payload's shape, so its hello must
   // fail the handshake instead of decoding garbage mid-stream.
-  for (int version = 1; version <= 7; ++version) {
+  for (int version = 1; version <= 8; ++version) {
     const std::string hello =
         std::string("hello ").append(std::to_string(version)) + " bin,text";
     EXPECT_THROW((void)parse_client_hello(hello), ContractViolation) << hello;
   }
   // The current version without a binary offer has nothing in common.
-  EXPECT_THROW((void)parse_client_hello("hello 8 text"), ContractViolation);
-  EXPECT_TRUE(parse_client_hello("hello 8 bin,text"));
-  EXPECT_TRUE(parse_client_hello("hello 8 future,bin"));
+  EXPECT_THROW((void)parse_client_hello("hello 9 text"), ContractViolation);
+  EXPECT_TRUE(parse_client_hello("hello 9 bin,text"));
+  EXPECT_TRUE(parse_client_hello("hello 9 future,bin"));
   std::string hello = wire_hello();
   hello.pop_back();  // read_line strips the '\n'
   EXPECT_TRUE(parse_client_hello(hello));
@@ -208,6 +209,35 @@ TEST(WireNegotiation, SubprocessSpawnNegotiatesBinary) {
   backend.shutdown();
 }
 
+/// Serve threads the worker behind `backend` has started on its live
+/// connection, read from the worker's kObs snapshot.
+std::uint64_t serve_threads_started(WireBackend& backend) {
+  const obs::ObsSnapshot snapshot = backend.obs_snapshot();
+  const auto it = snapshot.counters.find("worker.serve_threads_started");
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(WireMultiplexing, SequentialDrainsReuseOneServeThread) {
+  // Each drain waits for its reply before the next is sent, and a serve
+  // thread counts itself idle before it replies, so every batch after the
+  // first finds that thread idle: 50 drains, one thread.
+  const WireFixture fx;
+  WireBackend backend(spawn_config());
+  backend.add_top("small", fx.small.top);
+  const FusionResult expected =
+      fx.direct(true, 2, DescentPolicy::kFewestBlocks);
+  for (int i = 0; i < 50; ++i) {
+    backend.submit("small", std::string("c").append(std::to_string(i)),
+                   {fx.small_originals, 2});
+    const auto responses = backend.drain("small");
+    ASSERT_EQ(responses.size(), 1u) << i;
+    ASSERT_EQ(responses[0].result.partitions, expected.partitions) << i;
+  }
+  EXPECT_EQ(backend.connects(), 1u);
+  EXPECT_EQ(serve_threads_started(backend), 1u);
+  backend.shutdown();
+}
+
 /// Two tops, drained from two threads at once through a backend built from
 /// `config`: both drains run as tagged exchanges multiplexed on the SAME
 /// connection — no second connect, every response on the right exchange,
@@ -253,6 +283,9 @@ void expect_concurrent_drains_share_one_connection(const WireFixture& fx,
 
   EXPECT_EQ(backend.connects(), 1u) << "multiplexed drains must share the "
                                        "one connection";
+  // At most one batch per drain is ever unanswered, and a serve thread
+  // counts itself idle before its reply leaves: two threads serve both.
+  EXPECT_LE(serve_threads_started(backend), 2u);
   ASSERT_EQ(small_responses.size(), small_tickets.size());
   ASSERT_EQ(large_responses.size(), large_tickets.size());
   for (std::size_t i = 0; i < small_responses.size(); ++i) {

@@ -37,9 +37,10 @@
 //   ping                       -> pong
 //   shutdown (or EOF)          -> bye, connection done
 //
-// Every command carries an exchange id and serve batches are dispatched to
-// their own threads, so drains for different tops interleave on one
-// connection — a parent pipelines every backlogged top's batch in one
+// Every command carries an exchange id and serve batches run on the
+// connection's serve threads — started as batches find none idle, kept
+// until the connection ends — so drains for different tops interleave on
+// one connection: a parent pipelines every backlogged top's batch in one
 // write and reads the replies in whatever order they finish; replies echo
 // the command's exchange id and each reply batch is sent as one write.
 //
@@ -50,13 +51,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -91,9 +94,9 @@ constexpr std::chrono::milliseconds kFrameTimeout{60'000};
 
 /// Per-connection serving state. Listener mode gives every accepted
 /// connection a fresh Worker, so a reconnecting backend always finds the
-/// clean slate its re-register handshake assumes. Serve batches run on
-/// their own threads, so the map shape is guarded by `mutex` and each
-/// top's batches serialize on its own `serve_mutex` (drains for
+/// clean slate its re-register handshake assumes. Serve batches run on the
+/// connection's serve threads, so the map shape is guarded by `mutex` and
+/// each top's batches serialize on its own `serve_mutex` (drains for
 /// *different* tops run concurrently).
 struct Worker {
   struct Service {
@@ -345,29 +348,126 @@ Frame handle_cachewarm(Worker& worker, const Frame& command) {
   return Frame(FrameType::kOk);
 }
 
-/// The frame loop: commands carry exchange ids, serve batches run on their
-/// own threads, and every reply batch goes out as one write under a send
-/// lock — drains for different tops interleave on this connection. Any
-/// framing error tears the connection (length-prefixed streams cannot
-/// resync); semantic errors are answered with an `error` frame on the
-/// command's exchange. Returns false only for a torn transport.
+/// run_serve's replies stamped with the command's exchange id, or one
+/// `error` frame on it when the batch failed.
+std::vector<Frame> serve_batch(Worker& worker, const Frame& command,
+                               std::vector<Frame> requests) {
+  std::vector<Frame> replies;
+  try {
+    replies = run_serve(worker, command, std::move(requests));
+  } catch (const std::exception& error) {
+    replies.clear();
+    replies.push_back(make_error(error.what()));
+  }
+  for (Frame& reply : replies) reply.exchange = command.exchange;
+  return replies;
+}
+
+/// One connection's serve threads, kept for the connection's lifetime. A
+/// serve batch goes to an idle thread; a thread is started only when none
+/// is idle, up to kMaxServeBatchesInFlight, and at that bound submit()
+/// waits for one to come idle. A thread counts itself idle before it
+/// writes its reply, so the next batch of a sequential drain — which the
+/// parent sends only once that reply has arrived — always finds it idle.
+/// The reader never serves a batch itself: it must keep reading while
+/// batches run, or a worker blocked writing a large reply and a parent
+/// blocked writing the rest of its wave into a full socket would wait on
+/// each other. Each start counts `worker.serve_threads_started`.
+class ServeThreads {
+ public:
+  using Send = std::function<void(const std::vector<Frame>&)>;
+
+  ServeThreads(Worker& worker, Send send)
+      : worker_(worker), send_(std::move(send)) {}
+  ServeThreads(const ServeThreads&) = delete;
+  ServeThreads& operator=(const ServeThreads&) = delete;
+  ~ServeThreads() { join(); }
+
+  /// Hands one serve batch to a thread. Called by the reader only, and
+  /// never after join().
+  void submit(Frame command, std::vector<Frame> requests) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (idle_ == 0 && threads_.size() >= kMaxServeBatchesInFlight)
+      came_idle_.wait(lock, [this] { return idle_ > 0; });
+    queue_.push_back({std::move(command), std::move(requests)});
+    if (idle_ > 0) {
+      --idle_;
+      lock.unlock();
+      work_.notify_one();
+      return;
+    }
+    threads_.emplace_back([this] { run(); });
+    worker_.obs.count("worker.serve_threads_started");
+  }
+
+  /// Lets every batch handed off so far finish and reply, then joins the
+  /// threads.
+  void join() noexcept {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      joining_ = true;
+    }
+    work_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+    threads_.clear();
+  }
+
+ private:
+  struct Batch {
+    Frame command;
+    std::vector<Frame> requests;
+  };
+
+  void run() noexcept {
+    for (;;) {
+      Batch batch;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        work_.wait(lock, [this] { return !queue_.empty() || joining_; });
+        if (queue_.empty()) return;
+        batch = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      const std::vector<Frame> replies =
+          serve_batch(worker_, batch.command, std::move(batch.requests));
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++idle_;
+      }
+      came_idle_.notify_one();
+      try {
+        send_(replies);
+      } catch (...) {
+        // The connection is dying; the reader loop sees it too.
+      }
+    }
+  }
+
+  Worker& worker_;
+  const Send send_;
+  // Guards the queue, idle_ and joining_. threads_ is the reading
+  // thread's alone.
+  std::mutex mutex_;
+  std::condition_variable work_;       // a batch was queued, or join()
+  std::condition_variable came_idle_;  // a thread counted itself idle
+  std::deque<Batch> queue_;
+  // Threads done computing that no queued batch is waiting for. Every
+  // thread not computing is idle or has a batch in queue_.
+  std::size_t idle_ = 0;
+  bool joining_ = false;
+  std::vector<std::thread> threads_;
+};
+
+/// The frame loop: commands carry exchange ids, serve batches run on the
+/// connection's serve threads, and every reply batch goes out as one write
+/// under a send lock — drains for different tops interleave on this
+/// connection. Any framing error tears the connection (length-prefixed
+/// streams cannot resync); semantic errors are answered with an `error`
+/// frame on the command's exchange. Returns false only for a torn
+/// transport.
 bool run_loop(Worker& worker, net::LineChannel& channel) {
   WireCodec codec;
   std::mutex send_mutex;
-  // Serve threads in flight, each with a flag it raises as its last act.
-  struct ServeThread {
-    std::thread thread;
-    std::unique_ptr<std::atomic<bool>> done;
-  };
-  std::vector<ServeThread> serving;
-  // Joins the threads that finished (all of them when `all`).
-  const auto reap = [&serving](bool all) noexcept {
-    std::erase_if(serving, [all](ServeThread& serve) {
-      if (!all && !serve.done->load(std::memory_order_acquire)) return false;
-      serve.thread.join();
-      return true;
-    });
-  };
   // Encoding is const/stateless, so serve threads encode concurrently;
   // only the write itself serializes.
   const auto send_frames = [&](const std::vector<Frame>& frames) {
@@ -376,6 +476,7 @@ bool run_loop(Worker& worker, net::LineChannel& channel) {
     const std::lock_guard<std::mutex> lock(send_mutex);
     channel.send(buffer);
   };
+  ServeThreads serving(worker, send_frames);
   const auto send_one = [&](Frame frame, std::uint64_t exchange) {
     frame.exchange = exchange;
     std::string buffer;
@@ -406,35 +507,7 @@ bool run_loop(Worker& worker, net::LineChannel& channel) {
             throw ContractViolation("serve batch framing violated");
           requests.push_back(std::move(*frame));
         }
-        // Bound the thread pile-up: finished threads are joined right
-        // away, and only kMaxServeBatchesInFlight batches in flight at
-        // once — more than a parent pipelines in one wave — make the
-        // reader wait.
-        reap(false);
-        if (serving.size() >= kMaxServeBatchesInFlight) reap(true);
-        auto done = std::make_unique<std::atomic<bool>>(false);
-        std::atomic<bool>* finished = done.get();
-        std::thread thread([&worker, &send_frames, finished,
-                            command = std::move(*command),
-                            requests = std::move(requests)]() mutable {
-          std::vector<Frame> replies;
-          try {
-            replies = run_serve(worker, command, std::move(requests));
-            for (Frame& reply : replies) reply.exchange = command.exchange;
-          } catch (const std::exception& error) {
-            replies.clear();
-            Frame reply = make_error(error.what());
-            reply.exchange = command.exchange;
-            replies.push_back(std::move(reply));
-          }
-          try {
-            send_frames(replies);
-          } catch (...) {
-            // The connection is dying; the reader loop sees it too.
-          }
-          finished->store(true, std::memory_order_release);
-        });
-        serving.push_back({std::move(thread), std::move(done)});
+        serving.submit(std::move(*command), std::move(requests));
         continue;
       }
       try {
@@ -463,7 +536,7 @@ bool run_loop(Worker& worker, net::LineChannel& channel) {
             send_one(Frame(FrameType::kPong), command->exchange);
             break;
           case FrameType::kShutdown:
-            reap(true);  // let in-flight batches reply before the bye
+            serving.join();  // let in-flight batches reply before the bye
             send_one(Frame(FrameType::kBye), command->exchange);
             return true;
           default:
@@ -479,10 +552,9 @@ bool run_loop(Worker& worker, net::LineChannel& channel) {
     }
   } catch (const std::exception&) {
     clean = false;
-    // Unblock serve threads wedged in send before joining them.
+    // Unblock serve threads wedged in send before `serving` joins them.
     channel.shutdown_io();
   }
-  reap(true);
   return clean;
 }
 
